@@ -8,9 +8,8 @@ bivariate linear Spearman copula.
 
 Every family evaluates at points of the unit hypercube (vectorised over a
 trailing axis of length ``dim``).  ``survival_value`` returns the survival
-copula: families flagged radially symmetric substitute the survival
-coordinates straight into the same formula, all others go through the
-inclusion-exclusion conversion ``poincare_survival``.
+copula of every family through the inclusion-exclusion conversion
+``poincare_survival``.
 
 Spec strings look like ``fgm:alpha=0.5`` or
 ``marshall_olkin:alpha1=0.5,alpha2=1.5``; ``parse_copula`` and
@@ -70,7 +69,14 @@ def _scalar_like(x, template):
 
 
 class Copula:
-    """Common machinery for all families; concrete families are frozen dataclasses."""
+    """Common machinery for all families; concrete families are frozen dataclasses.
+
+    ``radially_symmetric`` marks the families that the source material treats
+    as radially symmetric.  It only selects which families get the radial
+    duality check (``check_radial_duality``, ``copreli verify``); it plays no
+    part in ``survival_value``, because the substitution it suggests is exact
+    only for the bivariate FGM family.
+    """
 
     family: ClassVar[str]
     radially_symmetric: ClassVar[bool] = False
@@ -88,25 +94,25 @@ class Copula:
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def value(self, u):
-        """Copula value C(u); raises DomainError on invalid parameters or points."""
+    def _check_params(self) -> None:
         bad = self.param_violations()
         if bad:
             raise DomainError(f"invalid {self.family} parameters: " + "; ".join(bad))
+
+    def value(self, u):
+        """Copula value C(u); raises DomainError on invalid parameters or points."""
+        self._check_params()
         pts = _as_points(u, self.dim)
         return _scalar_like(self._raw(pts), pts)
 
     def survival_value(self, uhat):
-        """Survival copula at uhat.
+        """Survival copula at uhat, by inclusion-exclusion over coordinate subsets.
 
-        Radially symmetric families reuse the copula formula on the survival
-        coordinates; for the rest the value is derived from the copula by
-        inclusion-exclusion over coordinate subsets.
+        Equals ``poincare_survival(self, 1 - uhat)``; raises DomainError on
+        invalid parameters or points.
         """
-        if self.radially_symmetric:
-            return self.value(uhat)
-        pts = _as_points(uhat, self.dim)
-        return _scalar_like(poincare_survival(self, 1.0 - pts), pts)
+        self._check_params()
+        return poincare_survival(self, 1.0 - _as_points(uhat, self.dim))
 
     def spec_string(self) -> str:
         parts = []
@@ -195,7 +201,8 @@ class Independence(Copula):
 class Fgm(Copula):
     """Farlie-Gumbel-Morgenstern: (prod u_i) (1 + alpha prod (1 - u_i)), alpha in [-1, 1].
 
-    The one genuinely radially symmetric family here.
+    The one genuinely radially symmetric family here, and only bivariately:
+    in odd dimensions the survival copula is the FGM(-alpha) formula.
     """
 
     alpha: float
@@ -215,8 +222,9 @@ class Fgm(Copula):
 class FischerKock(Copula):
     """Fischer-Kock: (prod u_i) (1 + alpha prod (1 - u_i^(1/r)))^r, r >= 1, alpha in [-1, 1].
 
-    Coincides with FGM at r = 1.  Treated as radially symmetric following the
-    source material's usage; the substitution identity is exact only at r = 1.
+    Coincides with FGM at r = 1.  Flagged radially symmetric following the
+    source material's usage; the substitution identity is exact only at r = 1
+    in two dimensions.
     """
 
     r: float
@@ -343,8 +351,8 @@ class MarshallOlkin(Copula):
     """Marshall-Olkin (as used here): (prod u_i) min_i u_i^(alpha_i), alpha_i > 0.
 
     This literal form does not have uniform margins, so it is exempted from
-    the margin axiom; its survival counterpart substitutes survival
-    coordinates directly, again following the source usage.
+    the margin axiom; it is flagged radially symmetric following the source
+    usage, although its survival copula differs from the formula.
     """
 
     alpha: tuple[float, ...]

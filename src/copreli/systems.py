@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .copulas import Copula
 from .exceptions import CopreliError, DomainError, IntegrationError, SingularityError
@@ -33,6 +32,65 @@ __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 CURVE_COLUMNS = ("sf", "hr", "rhr", "mrl", "ai")
 
 _SF_FLOOR = 1e-12
+
+
+def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Lobatto rule on [-1, 1]."""
+    p = np.polynomial.legendre.Legendre.basis(n - 1)
+    x = np.concatenate([[-1.0], p.deriv().roots(), [1.0]])
+    return x, 2.0 / (n * (n - 1) * p(x) ** 2)
+
+
+# Mean residual life quadrature: each panel keeps its 21-point Gauss-Legendre
+# value, and two lower-order rules estimate its error.  The 10-point Gauss
+# rule is the classic check.  The 12-point Gauss-Lobatto rule samples the
+# panel's ends, which no Gauss node comes near, so a kink close to a panel
+# edge (linear Spearman, Marshall-Olkin) still shows.  Either lower rule alone
+# can agree with the 21-point value by coincidence on a kinked panel.
+_GAUSS21 = np.polynomial.legendre.leggauss(21)
+_GAUSS10 = np.polynomial.legendre.leggauss(10)
+_LOBATTO12 = _lobatto(12)
+_NODES = np.concatenate([_GAUSS21[0], _GAUSS10[0], _LOBATTO12[0]])
+_START_PANELS = 4
+_MAX_PANELS = 200
+_RTOL = 1e-8
+_ATOL = 1e-14
+
+
+def _integrate(f, a: float, b: float) -> float:
+    """Integral over [a, b] of ``f``, which maps an array of points to an array.
+
+    Adaptive bisection: each round evaluates every open panel's nodes in one
+    call of ``f``.  A panel is settled once both lower-order rules agree with
+    its 21-point value to within its share, by width, of
+    max(_ATOL, _RTOL * |integral|); the others are halved.
+    Raises IntegrationError when the partition would exceed _MAX_PANELS panels.
+    """
+    edges = np.linspace(a, b, _START_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    panels = lo.size
+    settled = 0.0
+    while True:
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * _NODES
+        values = f(x.ravel()).reshape(x.shape)
+        best = half * (values[:, :21] @ _GAUSS21[1])
+        gauss10 = half * (values[:, 21:31] @ _GAUSS10[1])
+        lobatto12 = half * (values[:, 31:] @ _LOBATTO12[1])
+        error = np.maximum(np.abs(best - gauss10), np.abs(best - lobatto12))
+        tol = max(_ATOL, _RTOL * abs(settled + best.sum()))
+        done = error <= tol * (hi - lo) / (b - a)
+        settled += best[done].sum()
+        if done.all():
+            return float(settled)
+        lo, hi = lo[~done], hi[~done]
+        panels += lo.size
+        if panels > _MAX_PANELS:
+            raise IntegrationError(
+                f"quadrature on ({a}, {b}) did not converge within {_MAX_PANELS} panels"
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
 @dataclass(frozen=True)
@@ -73,37 +131,33 @@ class System:
     def n(self) -> int:
         return len(self.marginals)
 
-    def _u(self, t: float) -> np.ndarray:
-        return np.array([m.cdf(t) for m in self.marginals])
-
-    def _uhat(self, t: float) -> np.ndarray:
-        return np.array([m.sf(t) for m in self.marginals])
-
-    def sf(self, t: float) -> float:
-        """Survival probability of the system lifetime at t."""
-        if t < 0:
-            raise DomainError("t must be >= 0")
-        if self.n == 1:
-            m = self.marginals[0]
-            return m.sf(t)
-        if self.structure == "series":
-            uhat = self._uhat(t)
-            if self.mode == "independent":
-                return float(np.prod(uhat))
-            return float(self.copula.value(uhat))
-        u = self._u(t)
+    def _joint(self, t, which: str):
+        """The copula, or the product when independent, at the marginals' ``which``
+        values at t, where ``which`` is "sf" or "cdf"."""
+        pts = np.array([getattr(m, which)(t) for m in self.marginals]).T
+        if pts.ndim > 2:
+            raise DomainError("t must be a number or a one-dimensional array")
         if self.mode == "independent":
-            return float(1.0 - np.prod(u))
-        return float(1.0 - self.copula.value(u))
+            value = pts.prod(axis=-1)
+            return float(value) if pts.ndim == 1 else value
+        return self.copula.value(pts)
 
-    def cdf(self, t: float) -> float:
-        if t < 0:
-            raise DomainError("t must be >= 0")
+    def sf(self, t):
+        """Survival probability of the system lifetime at t.
+
+        ``t`` is a number or a one-dimensional array of times; the result is a
+        float or an array of the same length.
+        """
+        if self.n == 1:
+            return self.marginals[0].sf(t)
+        if self.structure == "series":
+            return self._joint(t, "sf")
+        return 1.0 - self._joint(t, "cdf")
+
+    def cdf(self, t):
+        """Distribution function of the system lifetime at t, shaped like ``sf``."""
         if self.n > 1 and self.structure == "parallel":
-            u = self._u(t)
-            if self.mode == "independent":
-                return float(np.prod(u))
-            return float(self.copula.value(u))
+            return self._joint(t, "cdf")
         return 1.0 - self.sf(t)
 
     def hazard(self, t: float, h: float | None = None) -> float:
@@ -132,8 +186,7 @@ class System:
             raise IntegrationError(
                 f"survival function is not decaying on ({t}, {upper}); refusing to truncate"
             )
-        integral, _err = quad(self.sf, t, upper, epsrel=1e-8, epsabs=1e-14, limit=200)
-        return integral / sft
+        return _integrate(self.sf, t, upper) / sft
 
     def ai(self, t: float) -> float:
         """Aging intensity: t times the hazard over the cumulative hazard -ln sf(t)."""

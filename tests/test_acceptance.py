@@ -104,7 +104,7 @@ def test_criterion_2_poincare_identity():
         alpha = rng.uniform(-1.0, 1.0)
         uhat = rng.uniform(0.01, 0.99, size=2)
         for cop in (Fgm(alpha=alpha), FischerKock(r=1.0, alpha=alpha)):
-            gap = abs(cop.survival_value(uhat) - poincare_survival(cop, 1.0 - uhat))
+            gap = abs(cop.value(uhat) - poincare_survival(cop, 1.0 - uhat))
             worst2 = max(worst2, gap)
 
     # Odd dimensions flip the interaction sign: the survival copula of the

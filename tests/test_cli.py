@@ -214,6 +214,16 @@ def test_numerical_error_exit_code(capsys):
     assert "t=60" in err
 
 
+def test_mrl_error_table_refuses_non_decaying_survival(capsys):
+    code, _, err = run(
+        capsys, "error-table", "--copula", "fischer_hinzmann:m=2.0,alpha=0.5",
+        "--marginal", "exp:1", "--marginal", "exp:2", "--structure", "parallel",
+        "--measure", "mrl",
+    )
+    assert code == EXIT_NUMERICAL
+    assert "not decaying" in err
+
+
 def test_partially_singular_report_is_flagged_not_fatal(capsys):
     code, out, _ = run(
         capsys, "error-table", "--copula", "fgm:alpha=0.5", "--marginal", "exp:1",

@@ -66,6 +66,15 @@ SURVIVAL_CASES = [
     (Independence(), (0.5, 0.5), 0.25),
     (Fgm(alpha=0.5), (0.5, 0.5), 0.28125),  # radially symmetric: same formula
     (Clayton(alpha=1.0), (0.5, 0.5), 1.0 / 3.0),  # 1 - 0.5 - 0.5 + C(0.5, 0.5)
+    # the families below are flagged radially symmetric, yet substituting
+    # uhat into their formula is not their survival copula
+    (Fgm(alpha=0.5, dim=3), (0.3, 0.6, 0.2), 0.036 * (1.0 - 0.5 * 0.224)),  # FGM(-0.5)
+    (FischerKock(r=2.0, alpha=1.0), (0.7, 0.4),
+     0.1 + 0.18 * (1.0 + (1.0 - 0.3**0.5) * (1.0 - 0.6**0.5)) ** 2),
+    (FischerHinzmann(m=2.0, alpha=0.5, corrected=True), (0.7, 0.4),
+     0.1 + (0.5 * 0.3**2 + 0.5 * 0.18**2) ** 0.5),
+    # margins C(u1, 1) = u1^1.5 and C(1, u2) = u2^2.5 are not uniform
+    (MarshallOlkin(alpha=(0.5, 1.5)), (0.4, 0.7), 1.0 - 0.6**1.5 - 0.3**2.5 + 0.18 * 0.3**1.5),
 ]
 
 
@@ -73,6 +82,17 @@ SURVIVAL_CASES = [
                          ids=[str(c[0]) for c in SURVIVAL_CASES])
 def test_survival_values(copula, uhat, expected):
     assert copula.survival_value(uhat) == pytest.approx(expected, rel=1e-12)
+
+
+@given(family=st.sampled_from(sorted(FAMILY_SAMPLERS)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_survival_value_is_inclusion_exclusion_property(family, seed, data):
+    rng = np.random.default_rng(seed)
+    dim = data.draw(st.sampled_from(FAMILY_SAMPLERS[family][1]))
+    cop = random_instance(family, rng, dim=dim)
+    uhat = rng.uniform(0.0, 1.0, size=dim)
+    assert cop.survival_value(uhat) == poincare_survival(cop, 1.0 - uhat)
 
 
 def test_poincare_examples():

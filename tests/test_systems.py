@@ -11,10 +11,14 @@ from copreli import (
     Fgm,
     GumbelBarnet,
     Independence,
+    IntegrationError,
+    LinearSpearman,
     SingularityError,
     System,
     Weibull,
+    parse_copula,
 )
+from copreli.systems import _integrate
 
 E1 = Exponential(1.0)
 E2 = Exponential(2.0)
@@ -48,6 +52,35 @@ def test_parallel_cdf_values():
     pd = make("parallel", "dependent", Fgm(alpha=0.5))
     assert pd.cdf(LN2) == pytest.approx(0.28125, abs=1e-15)
     assert pd.cdf(0.0) == 0.0
+
+
+def test_array_times_match_scalar_calls():
+    # vectorised numpy powers may round differently from scalar ones in the
+    # last bit; probabilities are at most 1, so a few ulps of 1 bound that
+    atol = 4.0 * np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    grid = np.geomspace(1e-3, 6.0, 23)
+    for family in families_for_dim(2):
+        cop = random_instance(family, rng, dim=2)
+        for structure in ("series", "parallel"):
+            for mode in ("dependent", "independent"):
+                s = make(structure, mode, cop, (E1, Weibull(1.2, 1.7)))
+                for name in ("sf", "cdf"):
+                    f = getattr(s, name)
+                    assert isinstance(f(0.5), float)
+                    np.testing.assert_allclose(f(grid), [f(float(t)) for t in grid],
+                                               rtol=0.0, atol=atol)
+
+
+def test_time_domain_checks():
+    s = make("parallel", "dependent", Fgm(alpha=0.5))
+    for bad in (-0.5, np.array([0.5, -0.5])):
+        with pytest.raises(DomainError):
+            s.sf(bad)
+        with pytest.raises(DomainError):
+            s.cdf(bad)
+    with pytest.raises(DomainError):
+        s.sf(np.ones((2, 2)))
 
 
 def test_independence_copula_degenerates_to_independent_mode():
@@ -93,6 +126,61 @@ def test_mrl_values():
     # integral of the dependent series survival from 0: 1/2 + alpha/12
     s = make("series", "dependent", Fgm(alpha=0.5))
     assert s.mrl(0.0) == pytest.approx(0.5 + 0.5 / 12.0, rel=1e-7)
+
+
+def test_mrl_closed_forms_of_independent_exponentials():
+    rates = (0.5, 1.0, 2.5)
+    series = System(marginals=tuple(Exponential(r) for r in rates), structure="series",
+                    mode="independent")
+    parallel = make("parallel", "independent", marginals=(E1, E2))
+    for t in (0.0, 0.4, 3.0):
+        assert series.mrl(t) == pytest.approx(1.0 / sum(rates), rel=1e-9)
+        a, b = math.exp(-t), math.exp(-2.0 * t)
+        tail = a + b / 2.0 - a * b / 3.0
+        assert parallel.mrl(t) == pytest.approx(tail / (a + b - a * b), rel=1e-9)
+
+
+def test_mrl_across_the_linear_spearman_kink():
+    # theta < 0, series, Exp(1) and Exp(2): the survival function is
+    # (1 + theta) e^{-3t} + theta (1 - e^{-t} - e^{-2t}) up to the crossing
+    # e^{-t} + e^{-2t} = 1 at t* = ln golden ratio, and (1 + theta) e^{-3t}
+    # beyond it, so its derivative jumps at t*
+    theta = -0.49
+    s = make("series", "dependent", LinearSpearman(theta=theta), (E1, E2))
+    kink = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+
+    def sf(t):
+        return (1.0 + theta) * math.exp(-3.0 * t) + theta * min(
+            0.0, 1.0 - math.exp(-t) - math.exp(-2.0 * t))
+
+    def tail(t):
+        out = (1.0 + theta) * math.exp(-3.0 * t) / 3.0
+        if t < kink:
+            out += theta * ((kink - t) - (math.exp(-t) - math.exp(-kink))
+                            - (math.exp(-2.0 * t) - math.exp(-2.0 * kink)) / 2.0)
+        return out
+
+    # from t = 0.2 and 0.45 a bisection edge lands 4e-5 short of t*, and from
+    # t = 0.48 the kink sits before the first Gauss node of the first panel:
+    # a Gauss-only error estimate (and QUADPACK's) misses it by 4e-9 to 1e-5
+    for t in (0.0, 0.2, 0.45, 0.48, 0.49, 1.5):
+        assert s.sf(t) == pytest.approx(sf(t), rel=1e-12)
+        assert s.mrl(t) == pytest.approx(tail(t) / sf(t), rel=1e-9)
+
+
+def test_mrl_refuses_a_survival_function_that_does_not_decay():
+    # the literal Fischer-Hinzmann form has C(1, 1) = sqrt(1/2), so the
+    # parallel survival function 1 - C(u) levels off near 0.29
+    cop = parse_copula("fischer_hinzmann:m=2.0,alpha=0.5")
+    with pytest.raises(IntegrationError):
+        make("parallel", "dependent", cop, (E1, E2)).mrl(0.5)
+
+
+def test_quadrature_panel_budget():
+    assert _integrate(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+    # about 1600 periods need far more than the 200-panel budget
+    with pytest.raises(IntegrationError):
+        _integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0)
 
 
 def test_ai_values():
