@@ -13,14 +13,15 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
-from .numerics import central_log_derivative
-from .systems import System
+from .numerics import Stencil, defined_or_raise
+from .systems import System, log_rate
 
 __all__ = [
     "SystemPair",
@@ -47,41 +48,64 @@ class SystemPair:
         if self.structure not in ("series", "parallel"):
             raise DomainError(f"structure must be series or parallel, got {self.structure!r}")
 
-    @property
+    @cached_property
     def dependent(self) -> System:
         return System(marginals=self.marginals, structure=self.structure,
                       mode="dependent", copula=self.copula)
 
-    @property
+    @cached_property
     def independent(self) -> System:
         return System(marginals=self.marginals, structure=self.structure, mode="independent")
 
     # --- survival function -------------------------------------------------
 
-    def sf_error(self, t: float) -> tuple[float, float]:
-        """(raw, relative) survival-function error at t."""
+    def _sf_errors(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(raw, relative, reason) survival-function errors at each t."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         dep = self.dependent.sf(t)
         ind = self.independent.sf(t)
-        raw = dep - ind
-        if ind <= 1e-12:
-            raise SingularityError("independent-counterpart survival vanished", t=t)
-        return raw, raw / ind
+        vanished = ind <= 1e-12
+        raw = np.where(vanished, np.nan, dep - ind)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = raw / ind
+        return raw, rel, np.where(vanished, "independent-counterpart survival vanished", "")
+
+    def sf_error(self, t):
+        """(raw, relative) survival-function error at t, a number or an array."""
+        raw, rel, reason = self._sf_errors(t)
+        return defined_or_raise(t, raw, reason), defined_or_raise(t, rel, reason)
 
     # --- hazard-type errors (log-ratio derivatives) ------------------------
 
-    def _ratio_sf(self, t: float) -> float:
-        return self.dependent.sf(t) / self.independent.sf(t)
+    def _log_rates(self, t, h, which: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The error, the dependent rate and the independent rate, each as
+        (values, reason) at every t: the hazard type for ``which="sf"``, the
+        reversed-hazard type for ``"cdf"``.  One call of ``which`` per system.
 
-    def _ratio_cdf(self, t: float) -> float:
-        return self.dependent.cdf(t) / self.independent.cdf(t)
+        The error is the log-derivative of the dependent/independent ratio.
+        The rates are evaluated only where that ratio has a stencil.
+        """
+        stencil = Stencil(t, h)
+        x = np.concatenate([stencil.t[stencil.interior], stencil.points])
+        k = x.size - stencil.points.size
+        dep = getattr(self.dependent, which)(x)
+        ind = getattr(self.independent, which)(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error, reason = stencil.log_derivative(dep[k:] / ind[k:])
+        out = [(-error if which == "sf" else error, reason)]
+        for values in (dep, ind):
+            at = np.full(stencil.t.shape, np.nan)
+            at[stencil.interior] = values[:k]
+            out.append(log_rate(stencil, at, values[k:], which))
+        return out
 
-    def hr_error(self, t: float, h: float | None = None) -> float:
-        """Hazard-rate error: -d/dt ln( sf_dep / sf_ind )."""
-        return -central_log_derivative(self._ratio_sf, t, h=h)
+    def hr_error(self, t, h=None):
+        """Hazard-rate error: -d/dt ln( sf_dep / sf_ind ), at a number or an array."""
+        return defined_or_raise(t, *self._log_rates(t, h, "sf")[0])
 
-    def rhr_error(self, t: float, h: float | None = None) -> float:
-        """Reversed-hazard error: +d/dt ln( cdf_dep / cdf_ind )."""
-        return central_log_derivative(self._ratio_cdf, t, h=h)
+    def rhr_error(self, t, h=None):
+        """Reversed-hazard error: +d/dt ln( cdf_dep / cdf_ind ), at a number or an array."""
+        return defined_or_raise(t, *self._log_rates(t, h, "cdf")[0])
 
     def mrl_error(self, t: float) -> tuple[float, float]:
         dep = self.dependent.mrl(t)
@@ -90,30 +114,41 @@ class SystemPair:
         return raw, raw / ind
 
     def error_report(self, grid, measure: str = "sf") -> "ErrorReport":
-        """Evaluate one error measure over a grid, with per-point OA/UA verdicts."""
+        """Evaluate one error measure over a grid, with per-point OA/UA verdicts.
+
+        sf, hr and rhr are evaluated on the whole grid at once, mrl point by
+        point.  A row whose error is undefined is NaN and flagged with the
+        reason; a hazard-type row whose independent rate is undefined keeps
+        its raw error, with the relative error NaN and the row flagged.
+        """
         if measure not in MEASURES:
             raise DomainError(f"measure must be one of {MEASURES}, got {measure!r}")
         grid = np.asarray(grid, dtype=float)
+        if measure == "mrl":
+            raw, rel, reason = self._mrl_errors(grid)
+        elif measure == "sf":
+            raw, rel, reason = self._sf_errors(grid)
+        else:
+            (raw, reason), _, (rate, rate_reason) = self._log_rates(
+                grid, None, "sf" if measure == "hr" else "cdf")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel = raw / rate
+            reason = np.where(reason == "", rate_reason, reason)
+        flags = tuple((int(i), str(reason[i])) for i in np.flatnonzero(reason != ""))
+        return ErrorReport(grid=grid, raw=raw, relative=rel, measure=measure,
+                           structure=self.structure, flags=flags)
+
+    def _mrl_errors(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(raw, relative, reason) mean-residual-life errors, one quadrature per t."""
         raw = np.full(grid.shape, np.nan)
         rel = np.full(grid.shape, np.nan)
-        flags: list[tuple[int, str]] = []
+        reason = np.full(grid.shape, "", dtype=object)
         for i, t in enumerate(grid):
-            t = float(t)
             try:
-                if measure == "sf":
-                    raw[i], rel[i] = self.sf_error(t)
-                elif measure == "mrl":
-                    raw[i], rel[i] = self.mrl_error(t)
-                elif measure == "hr":
-                    raw[i] = self.hr_error(t)
-                    rel[i] = raw[i] / self.independent.hazard(t)
-                else:
-                    raw[i] = self.rhr_error(t)
-                    rel[i] = raw[i] / self.independent.reversed_hazard(t)
+                raw[i], rel[i] = self.mrl_error(float(t))
             except SingularityError as exc:
-                flags.append((i, str(exc)))
-        return ErrorReport(grid=grid, raw=raw, relative=rel, measure=measure,
-                           structure=self.structure, flags=tuple(flags))
+                reason[i] = str(exc)
+        return raw, rel, reason
 
 
 def _verdict(raw: float) -> str:

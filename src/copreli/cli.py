@@ -11,8 +11,8 @@ Subcommands::
 
 Every run is deterministic given its configuration (including the seed).
 Exit codes: 0 ok, 2 configuration error, 3 numerical error, 4 verification
-failure.  ``COPRELI_THREADS`` caps internal parallelism.  A config file of
-``key = value`` lines can stand in for flags; explicit flags win.
+failure.  A config file of ``key = value`` lines can stand in for flags;
+explicit flags win.
 """
 
 from __future__ import annotations

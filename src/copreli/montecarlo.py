@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .copulas import Copula
-from .exceptions import DomainError, SamplingError
+from .exceptions import DomainError, SamplingError, SingularityError
 from .marginals import Marginal
-from .numerics import richardson_pair
+from .numerics import adaptive_step, richardson_pair
 from .assessment import SystemPair
 
 __all__ = [
@@ -171,31 +171,29 @@ def finite_difference_audit(copula: Copula, marginals, grid) -> AuditResult:
     For each structure, the identity route (log-derivative of the
     dependent/independent ratio) is compared against direct subtraction of
     the two systems' rates; both sides are evaluated at steps h and h/2 and
-    Richardson-extrapolated before comparing.
+    Richardson-extrapolated before comparing.  Each system is evaluated over
+    the whole grid once per structure, measure and step.  The first grid
+    point where a route is undefined raises SingularityError; a NaN
+    discrepancy is ignored.
     """
     marginals = tuple(marginals)
     grid = np.asarray(grid, dtype=float)
+    h = adaptive_step(grid)
     out: dict[str, float] = {}
     for structure in ("series", "parallel"):
         pair = SystemPair(copula=copula, marginals=marginals, structure=structure)
-        dep, ind = pair.dependent, pair.independent
-        for measure in ("hr", "rhr"):
-            worst = 0.0
-            for t in grid:
-                t = float(t)
-                h = max(1e-6, 1e-4 * t)
-                if measure == "hr":
-                    ident = richardson_pair(pair.hr_error(t, h=h), pair.hr_error(t, h=h / 2))
-                    direct = richardson_pair(
-                        dep.hazard(t, h=h) - ind.hazard(t, h=h),
-                        dep.hazard(t, h=h / 2) - ind.hazard(t, h=h / 2),
-                    )
-                else:
-                    ident = richardson_pair(pair.rhr_error(t, h=h), pair.rhr_error(t, h=h / 2))
-                    direct = richardson_pair(
-                        dep.reversed_hazard(t, h=h) - ind.reversed_hazard(t, h=h),
-                        dep.reversed_hazard(t, h=h / 2) - ind.reversed_hazard(t, h=h / 2),
-                    )
-                worst = max(worst, abs(ident - direct))
-            out[f"{structure}_{measure}"] = worst
+        for measure, which in (("hr", "sf"), ("rhr", "cdf")):
+            ident_h, dep_h, ind_h = pair._log_rates(grid, h, which)
+            ident_h2, dep_h2, ind_h2 = pair._log_rates(grid, h / 2, which)
+            # rows in the order a point-by-point audit meets them at each t
+            reasons = np.stack([r for _, r in (ident_h, ident_h2, dep_h, ind_h, dep_h2, ind_h2)])
+            undefined = reasons != ""
+            if undefined.any():
+                col = int(np.argmax(undefined.any(axis=0)))
+                row = int(np.argmax(undefined[:, col]))
+                raise SingularityError(str(reasons[row, col]), t=float(grid[col]))
+            ident = richardson_pair(ident_h[0], ident_h2[0])
+            direct = richardson_pair(dep_h[0] - ind_h[0], dep_h2[0] - ind_h2[0])
+            out[f"{structure}_{measure}"] = float(
+                np.fmax.reduce(np.abs(ident - direct), initial=0.0))
     return AuditResult(per_check=out)

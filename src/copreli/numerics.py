@@ -3,6 +3,10 @@
 All hazard-type quantities in this package are log-derivatives of smooth,
 strictly positive functions, so a central stencil with a step proportional
 to t is accurate to ~1e-8 relative and exact for log-quadratic laws.
+
+The stencil works on whole grids: each function is evaluated once, on both
+sides of every point, and each point carries the reason it is undefined
+(empty where it is defined).
 """
 
 from __future__ import annotations
@@ -13,29 +17,75 @@ import numpy as np
 
 from .exceptions import SingularityError
 
-__all__ = ["adaptive_step", "central_log_derivative", "central_derivative", "richardson_pair"]
+__all__ = [
+    "adaptive_step",
+    "Stencil",
+    "defined_or_raise",
+    "central_log_derivative",
+    "central_derivative",
+    "richardson_pair",
+]
 
 _TINY = 1e-12
+_NOT_INTERIOR = "log-derivative needs an interior point t > 0"
+_VANISHES = "function vanishes inside the stencil"
 
 
-def adaptive_step(t: float) -> float:
-    return max(1e-6, 1e-4 * t)
+def adaptive_step(t):
+    """max(1e-6, 1e-4 t), for a number or an array of times."""
+    return np.maximum(1e-6, 1e-4 * np.asarray(t, dtype=float))
 
 
-def central_log_derivative(f: Callable[[float], float], t: float,
-                           h: float | None = None) -> float:
-    """d/dt ln f(t) by central differences; the step shrinks near t = 0."""
-    if h is None:
-        h = adaptive_step(t)
-    if t - h <= 0.0:
-        h = t / 2.0
-    if h <= 0.0:
-        raise SingularityError("log-derivative needs an interior point t > 0", t=t)
-    lo = f(t - h)
-    hi = f(t + h)
-    if not (lo > _TINY and hi > _TINY):
-        raise SingularityError("function vanishes inside the stencil", t=t)
-    return (np.log(hi) - np.log(lo)) / (2.0 * h)
+class Stencil:
+    """The central-difference stencil of a grid of times.
+
+    The step defaults to ``adaptive_step(t)`` and shrinks to t/2 near 0; a
+    time t <= 0 has no stencil.  ``points`` holds t - h, then t + h, for
+    every time that has one: evaluate a function there in one call and pass
+    the values to ``log_derivative``.
+    """
+
+    def __init__(self, t, h=None):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        h = adaptive_step(t) if h is None else np.asarray(h, dtype=float)
+        h = np.where(t - h <= 0.0, t / 2.0, h)
+        self.t, self.h, self.interior = t, h, h > 0.0
+        self.points = np.concatenate([(t - h)[self.interior], (t + h)[self.interior]])
+
+    def log_derivative(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dt ln f, reason) at each time, from f at ``points``.
+
+        reason[i] is "" where the derivative is defined and otherwise says
+        why it is not, with the derivative NaN.  A value that is not finite
+        counts as vanished (a ratio whose denominator underflowed).
+        """
+        lo = np.full(self.t.shape, np.nan)
+        hi = np.full(self.t.shape, np.nan)
+        lo[self.interior], hi[self.interior] = np.split(np.asarray(values, dtype=float), 2)
+        alive = (np.minimum(lo, hi) > _TINY) & (np.maximum(lo, hi) < np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            derivative = np.where(alive, (np.log(hi) - np.log(lo)) / (2.0 * self.h), np.nan)
+        reason = np.where(self.interior, np.where(alive, "", _VANISHES), _NOT_INTERIOR)
+        return derivative, reason
+
+
+def defined_or_raise(t, values: np.ndarray, reason: np.ndarray):
+    """``values`` shaped like ``t`` (a float for a number), or SingularityError
+    with the reason of the first undefined point."""
+    bad = np.flatnonzero(reason != "")
+    if bad.size:
+        raise SingularityError(str(reason[bad[0]]), t=float(np.ravel(t)[bad[0]]))
+    return float(values[0]) if np.ndim(t) == 0 else values
+
+
+def central_log_derivative(f: Callable, t, h=None):
+    """d/dt ln f(t) by central differences; the step shrinks near t = 0.
+
+    ``t`` is a number or a one-dimensional array and ``f`` maps an array of
+    times to an array.  Raises SingularityError at the first undefined point.
+    """
+    stencil = Stencil(t, h)
+    return defined_or_raise(t, *stencil.log_derivative(f(stencil.points)))
 
 
 def central_derivative(f: Callable[[float], float], t: float,
@@ -47,7 +97,7 @@ def central_derivative(f: Callable[[float], float], t: float,
     return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
-def richardson_pair(coarse: float, fine: float, order: int = 2, ratio: float = 2.0) -> float:
+def richardson_pair(coarse, fine, order: int = 2, ratio: float = 2.0):
     """Combine estimates at step h and h/ratio, cancelling the O(h^order) term."""
     factor = ratio**order
     return (factor * fine - coarse) / (factor - 1.0)

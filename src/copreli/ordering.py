@@ -19,8 +19,6 @@ contradict the proofs (or direct computation); see the row notes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,30 +72,36 @@ def default_grid(marginals, points: int = 64, lo: float = 1e-3, hi: float = 0.99
     return np.geomspace(slowest.quantile(lo), slowest.quantile(hi), points)
 
 
-def ratio_function(copula: Copula, marginals, kind: str) -> Callable[[float], float]:
-    """t -> copula ratio of the requested kind along the diagonal."""
+def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
+    """t -> copula ratio of the requested kind along the diagonal.
+
+    The function takes a number (returning a float) or a one-dimensional
+    array of times (returning an array) and makes one copula call per side.
+    """
     if kind not in RATIO_KINDS:
         raise DomainError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
     marginals = tuple(marginals)
     if copula.dim != len(marginals):
         raise DomainError(f"copula dimension {copula.dim} != marginal count {len(marginals)}")
 
-    def u(t):
-        return np.array([m.cdf(t) for m in marginals])
+    def coords(which: str, t: np.ndarray) -> np.ndarray:
+        return np.stack([getattr(m, which)(t) for m in marginals], axis=-1)
 
-    def uhat(t):
-        return np.array([m.sf(t) for m in marginals])
+    def ratio(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if kind == "C_over_Chat":
+                out = np.divide(copula.value(coords("cdf", t)), copula.value(coords("sf", t)))
+            else:
+                u = coords("cdf" if kind == "C_over_C1" else "sf", t)
+                out = copula.value(u) / np.prod(u, axis=-1)
+        return float(out) if t.ndim == 0 else out
 
-    if kind == "C_over_C1":
-        return lambda t: float(copula.value(u(t)) / np.prod(u(t)))
-    if kind == "Chat_over_Chat1":
-        return lambda t: float(copula.value(uhat(t)) / np.prod(uhat(t)))
-    return lambda t: float(copula.value(u(t)) / copula.value(uhat(t)))
+    return ratio
 
 
 def ratio_profile(copula: Copula, marginals, kind: str, grid) -> np.ndarray:
-    fn = ratio_function(copula, marginals, kind)
-    return np.array([fn(float(t)) for t in np.asarray(grid, dtype=float)])
+    return ratio_function(copula, marginals, kind)(np.asarray(grid, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -124,36 +128,38 @@ def _significant_moves(ts, vs, tol_scale):
     return ups, downs
 
 
-def classify_monotonicity(fn: Callable[[float], float], grid,
+def _evaluate(fn: Callable, ts: np.ndarray) -> np.ndarray:
+    """fn at every point of ts in one call; a scalar result is broadcast."""
+    values = np.empty(ts.shape)
+    values[...] = fn(ts)
+    return values
+
+
+def classify_monotonicity(fn: Callable, grid,
                           refine_budget: int = 256,
                           tol_scale: float = 1e-9) -> MonotonicityVerdict:
     """Classify fn on grid; on a mixed sign pattern, refine near the sign
     changes (8x subdivision) up to ``refine_budget`` extra evaluations before
-    declaring non-monotonicity."""
+    declaring non-monotonicity.
+
+    ``fn`` receives a one-dimensional array of times: once with the grid,
+    then once per refinement round with that round's new points.
+    """
     ts = np.asarray(grid, dtype=float)
     if ts.size < 16:
         raise DomainError("monotonicity classification needs at least 16 grid points")
-    vs = np.array([fn(float(t)) for t in ts])
+    vs = _evaluate(fn, ts)
     budget = refine_budget
     while True:
         ups, downs = _significant_moves(ts, vs, tol_scale)
-        mixed = ups.any() and downs.any()
-        if not mixed or budget <= 0:
+        if not (ups.any() and downs.any()) or budget <= 0:
             break
         # refine every interval adjacent to a direction change
         signs = np.where(ups, 1, np.where(downs, -1, 0))
-        hot = set()
-        last = 0
-        for i, s in enumerate(signs):
-            if s == 0:
-                continue
-            if last != 0 and s != last:
-                hot.update((max(i - 1, 0), i))
-            last = s
-        if not hot:
-            break
+        moves = np.flatnonzero(signs)
+        turns = moves[1:][signs[moves[1:]] != signs[moves[:-1]]]
         new_ts = []
-        for i in sorted(hot):
+        for i in np.union1d(turns - 1, turns):
             if budget <= 0:
                 break
             inner = np.linspace(ts[i], ts[i + 1], 9)[1:-1]
@@ -162,7 +168,7 @@ def classify_monotonicity(fn: Callable[[float], float], grid,
         if not new_ts:
             break
         new_ts = np.asarray(new_ts)
-        new_vs = np.array([fn(float(t)) for t in new_ts])
+        new_vs = _evaluate(fn, new_ts)
         order = np.argsort(np.concatenate([ts, new_ts]))
         ts = np.concatenate([ts, new_ts])[order]
         vs = np.concatenate([vs, new_vs])[order]
@@ -259,33 +265,33 @@ class Theorem1Result:
     worst_inequality: str
 
 
+_THEOREM1_INEQUALITIES = ("P_I >= S_I", "P_I >= S_D", "P_D >= S_I", "P_D >= S_D")
+
+
 def verify_theorem1(copula: Copula, marginals, grid=None,
                     slack_tol: float = 1e-10) -> Theorem1Result:
     """Check F_P^I, F_P^D >= F_S^I, F_S^D (as survival functions) pointwise."""
     marginals = tuple(marginals)
     if grid is None:
         grid = default_grid(marginals)
-    worst = np.inf
-    worst_t = float("nan")
-    worst_name = ""
-    for t in np.asarray(grid, dtype=float):
-        t = float(t)
-        u = np.array([m.cdf(t) for m in marginals])
-        uhat = np.array([m.sf(t) for m in marginals])
-        sf_pi = 1.0 - float(np.prod(u))
-        sf_si = float(np.prod(uhat))
-        sf_pd = 1.0 - float(copula.value(u))
-        sf_sd = float(copula.value(uhat))
-        for name, slack in (
-            ("P_I >= S_I", sf_pi - sf_si),
-            ("P_I >= S_D", sf_pi - sf_sd),
-            ("P_D >= S_I", sf_pd - sf_si),
-            ("P_D >= S_D", sf_pd - sf_sd),
-        ):
-            if slack < worst:
-                worst, worst_t, worst_name = slack, t, name
-    return Theorem1Result(passed=bool(worst >= -slack_tol), worst_slack=float(worst),
-                          worst_t=worst_t, worst_inequality=worst_name)
+    t = np.asarray(grid, dtype=float)
+    u = np.stack([m.cdf(t) for m in marginals], axis=-1)
+    uhat = np.stack([m.sf(t) for m in marginals], axis=-1)
+    sf_pi = 1.0 - np.prod(u, axis=-1)
+    sf_si = np.prod(uhat, axis=-1)
+    sf_pd = 1.0 - copula.value(u)
+    sf_sd = copula.value(uhat)
+    # one row per grid point, in the order of _THEOREM1_INEQUALITIES
+    slack = np.stack([sf_pi - sf_si, sf_pi - sf_sd, sf_pd - sf_si, sf_pd - sf_sd], axis=-1)
+    slack = np.where(np.isnan(slack), np.inf, slack).ravel()
+    if not np.any(slack < np.inf):
+        return Theorem1Result(passed=True, worst_slack=float("inf"), worst_t=float("nan"),
+                              worst_inequality="")
+    at = int(np.argmin(slack))  # the first minimum in (t, inequality) order
+    worst = float(slack[at])
+    return Theorem1Result(passed=bool(worst >= -slack_tol), worst_slack=worst,
+                          worst_t=float(t[at // 4]),
+                          worst_inequality=_THEOREM1_INEQUALITIES[at % 4])
 
 
 @dataclass(frozen=True)
@@ -537,19 +543,12 @@ def _report_row(spec: _RowSpec, marginals, grid) -> OrderingReportRow:
 
 
 def build_ordering_report(marginals=None, rows=DEFAULT_REPORT_ROWS,
-                          grid_points: int = 64, n_jobs: int | None = None) -> OrderingReport:
+                          grid_points: int = 64) -> OrderingReport:
     """Machine verdicts for every family/regime, side by side with the published arrows."""
     if marginals is None:
         marginals = (Exponential(1.0), Exponential(1.0))
     marginals = tuple(marginals)
     grid = default_grid(marginals, points=grid_points)
-    if n_jobs is None:
-        n_jobs = max(1, int(os.environ.get("COPRELI_THREADS", "1")))
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            done = list(pool.map(lambda s: _report_row(s, marginals, grid), rows))
-    else:
-        done = [_report_row(s, marginals, grid) for s in rows]
-    return OrderingReport(rows=tuple(done),
+    return OrderingReport(rows=tuple(_report_row(s, marginals, grid) for s in rows),
                           marginals_spec=tuple(m.spec_string() for m in marginals),
                           grid_points=grid_points)

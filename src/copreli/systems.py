@@ -25,7 +25,7 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import CopreliError, DomainError, IntegrationError, SingularityError
 from .marginals import Marginal
-from .numerics import central_log_derivative
+from .numerics import Stencil, defined_or_raise
 
 __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 
@@ -91,6 +91,19 @@ def _integrate(f, a: float, b: float) -> float:
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def log_rate(stencil: Stencil, at: np.ndarray, sides: np.ndarray,
+             which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hazard (``which="sf"``) or reversed hazard (``"cdf"``) at the stencil's
+    times, with the reason each is undefined, from the system's ``which`` at
+    the times (``at``, NaN where not evaluated) and at the stencil points."""
+    rate, reason = stencil.log_derivative(sides)
+    vanished = at <= _SF_FLOOR
+    name = "survival" if which == "sf" else "distribution"
+    reason = np.where(vanished, f"{name} function vanished", reason)
+    rate = np.where(vanished, np.nan, -rate if which == "sf" else rate)
+    return rate, reason
 
 
 @dataclass(frozen=True)
@@ -160,29 +173,46 @@ class System:
             return self._joint(t, "cdf")
         return 1.0 - self.sf(t)
 
-    def hazard(self, t: float, h: float | None = None) -> float:
-        """-d/dt ln sf(t) by central differences with an adaptive step."""
-        if self.sf(t) <= _SF_FLOOR:
-            raise SingularityError("survival function vanished", t=t)
-        return -central_log_derivative(self.sf, t, h=h)
+    def _rate(self, t, h, which: str) -> tuple[np.ndarray, np.ndarray]:
+        """Hazard (``which="sf"``) or reversed hazard (``"cdf"``) at each t, with
+        the reason each point is undefined; one call of ``which``."""
+        stencil = Stencil(t, h)
+        n = stencil.t.size
+        values = getattr(self, which)(np.concatenate([stencil.t, stencil.points]))
+        return log_rate(stencil, values[:n], values[n:], which)
 
-    def reversed_hazard(self, t: float, h: float | None = None) -> float:
-        """+d/dt ln cdf(t) by central differences with an adaptive step."""
-        if self.cdf(t) <= _SF_FLOOR:
-            raise SingularityError("distribution function vanished", t=t)
-        return central_log_derivative(self.cdf, t, h=h)
+    def hazard(self, t, h=None):
+        """-d/dt ln sf(t) by central differences with an adaptive step.
+
+        ``t`` is a number or a one-dimensional array; raises SingularityError at
+        the first t where the hazard is undefined.
+        """
+        return defined_or_raise(t, *self._rate(t, h, "sf"))
+
+    def reversed_hazard(self, t, h=None):
+        """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
+        return defined_or_raise(t, *self._rate(t, h, "cdf"))
 
     def mrl(self, t: float) -> float:
-        """Mean residual life: integral of sf over (t, inf) divided by sf(t)."""
+        """Mean residual life: integral of sf over (t, inf) divided by sf(t).
+
+        The integral is truncated at the first of t + s, t + 2s, t + 4s, ...
+        (s the largest component mean, capped at t + 50s) where sf has fallen
+        to 1e-12 of sf(t); all candidates are evaluated in one sf call.
+        """
         sft = self.sf(t)
         if sft <= _SF_FLOOR:
             raise SingularityError("survival function vanished", t=t)
         scale = max(m.mean() for m in self.marginals)
         cap = t + 50.0 * scale
-        upper = t + scale
-        while upper < cap and self.sf(upper) > 1e-12 * sft:
-            upper = min(cap, t + 2.0 * (upper - t))
-        if self.sf(upper) > 1e-6 * sft:
+        uppers = [t + scale]
+        while uppers[-1] < cap:
+            uppers.append(min(cap, t + 2.0 * (uppers[-1] - t)))
+        uppers = np.array(uppers)
+        values = self.sf(uppers)
+        k = int(np.argmax((uppers >= cap) | ~(values > 1e-12 * sft)))
+        upper = float(uppers[k])
+        if values[k] > 1e-6 * sft:
             raise IntegrationError(
                 f"survival function is not decaying on ({t}, {upper}); refusing to truncate"
             )

@@ -64,3 +64,23 @@ def random_instance(family: str, rng: np.random.Generator, dim: int = 2):
 
 def families_for_dim(dim: int):
     return [name for name, (_, dims) in FAMILY_SAMPLERS.items() if dim in dims]
+
+
+# every (family, dim) pair that FAMILY_SAMPLERS covers, for property tests
+FAMILY_CASES = [(name, dim) for name, (_, dims) in FAMILY_SAMPLERS.items() for dim in dims]
+
+
+def random_marginals(rng: np.random.Generator, dim: int):
+    """``dim`` exponential or Weibull marginals with rates in [0.5, 2]."""
+    from copreli import Exponential, Weibull
+
+    return tuple(Exponential(rng.uniform(0.5, 2.0)) if rng.random() < 0.5
+                 else Weibull(rng.uniform(0.5, 2.0), rng.uniform(0.8, 3.0))
+                 for _ in range(dim))
+
+
+def wide_grid(marginals, points: int = 15) -> np.ndarray:
+    """t = 0, then log-spaced out past every marginal's 1 - 1e-9 quantile, so
+    support-edge singularities show at both ends."""
+    hi = 3.0 * max(m.quantile(1.0 - 1e-9) for m in marginals)
+    return np.concatenate([[0.0], np.geomspace(1e-4, hi, points)])

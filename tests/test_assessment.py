@@ -3,16 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FAMILY_CASES, random_instance, random_marginals, wide_grid
 from copreli import (
     Clayton,
     DomainError,
+    ErrorReport,
     Exponential,
     Fgm,
     GumbelBarnet,
     Independence,
+    MarshallOlkin,
     SingularityError,
     SystemPair,
+    Weibull,
     classify_assessment,
 )
 
@@ -177,3 +183,102 @@ def test_report_flags_singular_points():
 def test_bad_measure_rejected():
     with pytest.raises(DomainError):
         pair(Fgm(alpha=0.5), "series").error_report([0.5], measure="cdf")
+
+
+# ---------------------------------------------------------------------------
+# whole-grid evaluation against a point-by-point reference
+# ---------------------------------------------------------------------------
+
+
+def point_by_point_report(p, grid, measure):
+    """(raw, relative, flags) from one scalar call per grid point and quantity."""
+    raw = np.full(grid.shape, np.nan)
+    rel = np.full(grid.shape, np.nan)
+    flags = []
+    for i, t in enumerate(grid):
+        t = float(t)
+        try:
+            if measure == "sf":
+                raw[i], rel[i] = p.sf_error(t)
+            elif measure == "hr":
+                raw[i] = p.hr_error(t)
+                rel[i] = raw[i] / p.independent.hazard(t)
+            else:
+                raw[i] = p.rhr_error(t)
+                rel[i] = raw[i] / p.independent.reversed_hazard(t)
+        except SingularityError as exc:
+            flags.append((i, str(exc)))
+    return raw, rel, tuple(flags)
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(("series", "parallel")),
+       measure=st.sampled_from(("sf", "hr", "rhr")))
+@settings(max_examples=80, deadline=None)
+def test_error_report_matches_point_by_point_reference(case, seed, structure, measure):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    p = SystemPair(copula=random_instance(family, rng, dim), marginals=marginals,
+                   structure=structure)
+    grid = wide_grid(marginals)
+    rep = p.error_report(grid, measure=measure)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw, rel, flags = point_by_point_report(p, grid, measure)
+    assert rep.flags == flags
+    reference = ErrorReport(grid=grid, raw=raw, relative=rel, measure=measure,
+                            structure=structure, flags=flags)
+    assert rep.verdict_per_t == reference.verdict_per_t
+    np.testing.assert_allclose(rep.raw, raw, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(rep.relative, rel, rtol=1e-9, atol=0.0)
+
+
+def test_hr_row_with_vanished_independent_hazard_keeps_its_error():
+    # at t = 36 the independent series sf (e^-72) is below the 1e-12 floor,
+    # so the independent hazard is undefined, but the sf ratio is not
+    rep = pair(Fgm(alpha=0.5), "series").error_report(np.array([0.5, 36.0]), measure="hr")
+    assert rep.flags == ((1, "survival function vanished"),)
+    assert not np.isnan(rep.raw[1]) and np.isnan(rep.relative[1])
+    assert rep.verdict_per_t[1] != "undefined"
+
+
+def test_rhr_where_only_the_independent_cdf_underflows():
+    # at t = 1e-170 the independent parallel cdf (about t^2) underflows to
+    # 0.0 while the Clayton one (about t) does not: the ratio is inf
+    rep = pair(Clayton(alpha=2.0), "parallel").error_report(np.array([1e-170, 0.5]),
+                                                            measure="rhr")
+    assert rep.flags == ((0, "function vanishes inside the stencil"),)
+    assert np.isnan(rep.raw[0]) and not np.isnan(rep.raw[1])
+
+
+def test_hazard_type_rows_without_a_stencil_are_flagged():
+    # t <= 0 has no interior stencil; the row is flagged before any system
+    # is evaluated there, so a negative time does not raise
+    for measure in ("hr", "rhr"):
+        rep = pair(Fgm(alpha=0.5), "series").error_report(np.array([-1.0, 0.0, 0.5]),
+                                                          measure=measure)
+        reason = "log-derivative needs an interior point t > 0"
+        assert rep.flags == ((0, reason), (1, reason))
+        assert not np.isnan(rep.raw[2])
+
+
+def test_series_hr_where_the_independent_sf_underflows():
+    # three Weibull components under Marshall-Olkin: on the CLI's default grid
+    # the independent series sf underflows to 0.0 at the last rows, so the sf
+    # ratio in the stencil is 0/0 there; those rows are flagged, not raised
+    marginals = (Weibull(1.7913190580699387, 2.748260610637292),
+                 Weibull(0.5637169418659368, 0.9069634832251845),
+                 Weibull(1.0962210981969736, 0.8197876113467362))
+    copula = MarshallOlkin(alpha=(0.3887870827033031, 1.5751037601909295,
+                                  0.2675059305740639), dim=3)
+    grid = np.geomspace(min(m.quantile(0.01) for m in marginals),
+                        max(m.quantile(0.99) for m in marginals), 25)
+    p = SystemPair(copula=copula, marginals=marginals, structure="series")
+    assert p.independent.sf(grid[-1]) == 0.0
+    rep = p.error_report(grid, measure="hr")
+    flagged = dict(rep.flags)
+    assert flagged[24] == "function vanishes inside the stencil"
+    assert all(row >= 19 for row in flagged)
+    assert not np.isnan(rep.raw[:19]).any()
+    with pytest.raises(SingularityError, match="vanishes inside the stencil"):
+        p.hr_error(grid[-1])

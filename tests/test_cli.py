@@ -237,6 +237,23 @@ def test_partially_singular_report_is_flagged_not_fatal(capsys):
     assert rows[-1]["verdict"] == "undefined"
 
 
+def test_series_hr_table_where_the_independent_sf_underflows(capsys):
+    code, out, _ = run(
+        capsys, "error-table", "--copula",
+        "marshall_olkin:alpha1=0.3887870827033031,alpha2=1.5751037601909295,"
+        "alpha3=0.2675059305740639,dim=3",
+        "--marginal", "weibull:1.7913190580699387,2.748260610637292",
+        "--marginal", "weibull:0.5637169418659368,0.9069634832251845",
+        "--marginal", "weibull:1.0962210981969736,0.8197876113467362",
+        "--structure", "series", "--measure", "hr",
+    )
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert len(rows) == 25
+    assert rows[0]["verdict"] == "UA"
+    assert rows[-1]["verdict"] == "undefined"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "curve.csv"
     code, out, _ = run(

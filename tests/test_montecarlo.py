@@ -10,6 +10,7 @@ from copreli import (
     Fgm,
     GumbelBarnet,
     Independence,
+    SingularityError,
     System,
     empirical_copula,
     empirical_system_sf,
@@ -119,6 +120,50 @@ def test_audit_gumbel_barnet_matches_closed_form():
         h = max(1e-6, 1e-4 * t)
         est = richardson_pair(pair.hr_error(t, h=h), pair.hr_error(t, h=h / 2))
         assert est == pytest.approx(2.0 * alpha * t, abs=1e-5)
+
+
+def test_audit_matches_a_point_by_point_audit():
+    from conftest import families_for_dim, random_instance
+    from copreli import SystemPair
+    from copreli.numerics import richardson_pair
+
+    rng = np.random.default_rng(5)
+    grid = np.geomspace(0.05, 3.0, 7)
+    for family in families_for_dim(2):
+        cop = random_instance(family, rng, dim=2)
+        audit = finite_difference_audit(cop, MARGINALS, grid)
+        for structure in ("series", "parallel"):
+            pair = SystemPair(copula=cop, marginals=MARGINALS, structure=structure)
+            dep, ind = pair.dependent, pair.independent
+            for measure, identity, dep_rate, ind_rate in (
+                    ("hr", pair.hr_error, dep.hazard, ind.hazard),
+                    ("rhr", pair.rhr_error, dep.reversed_hazard, ind.reversed_hazard)):
+                worst = 0.0
+                for t in grid:
+                    h = max(1e-6, 1e-4 * t)
+                    ident = richardson_pair(identity(t, h=h), identity(t, h=h / 2))
+                    direct = richardson_pair(dep_rate(t, h=h) - ind_rate(t, h=h),
+                                             dep_rate(t, h=h / 2) - ind_rate(t, h=h / 2))
+                    worst = max(worst, abs(ident - direct))
+                assert audit.per_check[f"{structure}_{measure}"] == pytest.approx(
+                    worst, rel=1e-9, abs=1e-15), (family, structure, measure)
+
+
+def test_audit_raises_at_the_first_undefined_point():
+    # t = 0 has no interior stencil, and the parallel cdf vanishes there
+    with pytest.raises(SingularityError) as raised:
+        finite_difference_audit(Fgm(alpha=0.5), MARGINALS, [0.5, 0.0, 1.0])
+    assert raised.value.t == 0.0
+    assert str(raised.value) == "log-derivative needs an interior point t > 0"
+
+
+def test_audit_reports_the_identity_route_first():
+    # at t = 400 both series survival functions underflow: the sf ratio of
+    # the identity route is 0/0, and both systems' hazards are undefined too
+    with pytest.raises(SingularityError) as raised:
+        finite_difference_audit(Fgm(alpha=0.5), MARGINALS, [0.5, 400.0])
+    assert raised.value.t == 400.0
+    assert str(raised.value) == "function vanishes inside the stencil"
 
 
 def test_audit_self_consistency_across_stencils():

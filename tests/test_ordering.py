@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FAMILY_CASES, random_instance, random_marginals
 from copreli import (
     Amh,
     Clayton,
@@ -76,6 +79,73 @@ def test_classify_constant():
 def test_classify_needs_enough_points():
     with pytest.raises(DomainError):
         classify_monotonicity(lambda t: t, np.linspace(0.1, 1.0, 8))
+
+
+def one_point_rounds(fn, grid, refine_budget=256, tol_scale=1e-9):
+    """The points a classifier evaluating fn one t at a time visits, per round:
+    the grid, then the 8x subdivisions of the intervals next to a direction
+    change, until the pattern is monotone or the budget is spent."""
+    ts = np.asarray(grid, dtype=float)
+    vs = np.array([fn(float(t)) for t in ts])
+    rounds = [list(ts)]
+    budget = refine_budget
+    while budget > 0:
+        diffs = np.diff(vs)
+        tols = tol_scale * (1.0 + np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
+        signs = np.where(diffs > tols, 1, np.where(diffs < -tols, -1, 0))
+        if not ((signs > 0).any() and (signs < 0).any()):
+            break
+        hot, last = set(), 0
+        for i, sign in enumerate(signs):
+            if sign != 0:
+                if last != 0 and sign != last:
+                    hot.update((i - 1, i))
+                last = sign
+        new_ts = []
+        for i in sorted(hot):
+            if budget <= 0:
+                break
+            new_ts.extend(np.linspace(ts[i], ts[i + 1], 9)[1:-1])
+            budget -= 7
+        rounds.append(new_ts)
+        new_vs = np.array([fn(float(t)) for t in new_ts])
+        order = np.argsort(np.concatenate([ts, new_ts]))
+        ts = np.concatenate([ts, new_ts])[order]
+        vs = np.concatenate([vs, new_vs])[order]
+    return rounds
+
+
+def classify_counting_calls(fn, grid, **kwargs):
+    calls = []
+
+    def counted(t):
+        calls.append(list(t))
+        return fn(t)
+
+    return classify_monotonicity(counted, grid, **kwargs), calls
+
+
+def test_classify_calls_fn_once_per_round_at_the_one_point_points():
+    grid = np.linspace(0.0, 20.0, 40)
+    for budget in (0, 20, 256):
+        verdict, calls = classify_counting_calls(np.sin, grid, refine_budget=budget)
+        assert calls == one_point_rounds(np.sin, grid, refine_budget=budget)
+        assert verdict.grid.size == sum(map(len, calls))
+    assert len(calls) > 2
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("C_over_C1", "Chat_over_Chat1")))
+@settings(max_examples=40, deadline=None)
+def test_classify_ratio_calls_match_one_point_rounds(case, seed, kind):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    fn = ratio_function(random_instance(family, rng, dim), marginals, kind)
+    grid = default_grid(marginals, points=24)
+    verdict, calls = classify_counting_calls(fn, grid)
+    assert calls == one_point_rounds(fn, grid)
+    np.testing.assert_array_equal(verdict.values, fn(verdict.grid))
 
 
 def test_classify_fgm_profile_decreasing():
@@ -201,6 +271,45 @@ def test_verify_theorem1_examples():
     result = verify_theorem1(MarshallOlkin(alpha=(0.5, 0.5)), MARGINALS)
     assert result.passed
     assert result.worst_slack >= -1e-10
+
+
+def one_point_theorem1(copula, marginals, grid):
+    """(worst slack, t, inequality) of a loop over t, then over the four
+    inequalities, keeping the first strict minimum."""
+    worst, worst_t, worst_name = np.inf, float("nan"), ""
+    for t in grid:
+        u = np.array([m.cdf(float(t)) for m in marginals])
+        uhat = np.array([m.sf(float(t)) for m in marginals])
+        sf_pi, sf_si = 1.0 - np.prod(u), np.prod(uhat)
+        sf_pd, sf_sd = 1.0 - copula.value(u), copula.value(uhat)
+        for name, slack in (("P_I >= S_I", sf_pi - sf_si), ("P_I >= S_D", sf_pi - sf_sd),
+                            ("P_D >= S_I", sf_pd - sf_si), ("P_D >= S_D", sf_pd - sf_sd)):
+            if slack < worst:
+                worst, worst_t, worst_name = slack, float(t), name
+    return worst, worst_t, worst_name
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_theorem1_worst_point_matches_a_loop(case, seed):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    copula = random_instance(family, rng, dim)
+    grid = default_grid(marginals, points=24)
+    result = verify_theorem1(copula, marginals, grid)
+    worst, worst_t, worst_name = one_point_theorem1(copula, marginals, grid)
+    assert (result.worst_t, result.worst_inequality) == (worst_t, worst_name)
+    assert result.worst_slack == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
+
+def test_theorem1_ties_go_to_the_first_inequality():
+    # under independence the four slacks are equal at every t, 2 F (1 - F)
+    # for two Exp(1) components, smallest here at t = 7
+    result = verify_theorem1(Independence(), MARGINALS, [1e-3, 0.5, 7.0])
+    assert (result.worst_t, result.worst_inequality) == (7.0, "P_I >= S_I")
+    empty = verify_theorem1(Independence(), MARGINALS, [])
+    assert empty.passed and empty.worst_inequality == ""
 
 
 def test_radial_duality():
@@ -387,22 +496,6 @@ def test_report_serialisations(report):
 
     record = json.loads(report.to_json())
     assert len(record["rows"]) == len(EXPECTED_MACHINE)
-
-
-def test_report_parallel_jobs_match_serial(report):
-    two = build_ordering_report(MARGINALS, n_jobs=2)
-    for a, b in zip(report.rows, two.rows):
-        assert a.label == b.label
-        assert a.parallel.machine == b.parallel.machine
-        assert a.series.machine == b.series.machine
-
-
-def test_report_thread_cap_env_var(report, monkeypatch):
-    monkeypatch.setenv("COPRELI_THREADS", "3")
-    capped = build_ordering_report(MARGINALS)
-    assert [r.label for r in capped.rows] == [r.label for r in report.rows]
-    assert all(a.parallel.machine == b.parallel.machine
-               for a, b in zip(report.rows, capped.rows))
 
 
 def test_report_arrows_stable_under_mixed_marginals(report):

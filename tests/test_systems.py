@@ -3,8 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import families_for_dim, random_instance
+import copreli.systems
+from conftest import (
+    FAMILY_CASES,
+    families_for_dim,
+    random_instance,
+    random_marginals,
+    wide_grid,
+)
 from copreli import (
     DomainError,
     Exponential,
@@ -176,6 +185,37 @@ def test_mrl_refuses_a_survival_function_that_does_not_decay():
         make("parallel", "dependent", cop, (E1, E2)).mrl(0.5)
 
 
+def test_mrl_truncation_matches_the_doubling_search(monkeypatch):
+    # the truncation point is the first of t + s, t + 2s, ... (capped at
+    # t + 50s) where sf <= 1e-12 sf(t), as a one-at-a-time search finds it
+    def doubling_search(system, t):
+        sft = system.sf(t)
+        scale = max(m.mean() for m in system.marginals)
+        cap = t + 50.0 * scale
+        upper = t + scale
+        while upper < cap and system.sf(upper) > 1e-12 * sft:
+            upper = min(cap, t + 2.0 * (upper - t))
+        return upper, system.sf(upper) > 1e-6 * sft
+
+    uppers = []
+    real = copreli.systems._integrate
+    monkeypatch.setattr(copreli.systems, "_integrate",
+                        lambda f, a, b: uppers.append(b) or real(f, a, b))
+    cases = [make("series", "independent"),
+             make("parallel", "dependent", Fgm(alpha=-0.7), (E1, Weibull(0.5, 0.8))),
+             make("parallel", "dependent", parse_copula("fischer_hinzmann:m=2.0,alpha=0.5"),
+                  (E1, E2))]
+    for system in cases:
+        for t in (0.0, 0.7, 4.0):
+            upper, refused = doubling_search(system, t)
+            if refused:
+                with pytest.raises(IntegrationError, match="not decaying"):
+                    system.mrl(t)
+            else:
+                system.mrl(t)
+                assert uppers.pop() == upper
+
+
 def test_quadrature_panel_budget():
     assert _integrate(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
     # about 1600 periods need far more than the 200-panel budget
@@ -188,6 +228,34 @@ def test_ai_values():
     w = System(marginals=(Weibull(1.0, 2.0),), structure="series", mode="independent")
     for t in (0.3, 0.7, 1.5):
         assert w.ai(t) == pytest.approx(2.0, abs=1e-8)
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(("series", "parallel")),
+       mode=st.sampled_from(("dependent", "independent")))
+@settings(max_examples=60, deadline=None)
+def test_hazards_on_an_array_match_scalar_calls(case, seed, structure, mode):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    system = System(marginals=marginals, structure=structure, mode=mode,
+                    copula=random_instance(family, rng, dim))
+    grid = wide_grid(marginals)
+    for name in ("hazard", "reversed_hazard"):
+        rate = getattr(system, name)
+        expected, first = np.full(grid.shape, np.nan), None
+        for i, t in enumerate(grid):
+            try:
+                expected[i] = rate(float(t))
+            except SingularityError as exc:
+                first = first or exc
+        defined = ~np.isnan(expected)
+        np.testing.assert_allclose(rate(grid[defined]), expected[defined], rtol=1e-9, atol=0.0)
+        if first is not None:
+            # the array call raises at the first undefined point, as a loop would
+            with pytest.raises(SingularityError) as raised:
+                rate(grid)
+            assert (str(raised.value), raised.value.t) == (str(first), first.t)
 
 
 def test_hazard_singularity_deep_in_tail():
