@@ -41,6 +41,12 @@ def _check_rates(lam1: float, lam2: float):
         raise DomainError("rates must be positive")
 
 
+def _at_exponential_margins(cop, t1, t2, lam1: float, lam2: float):
+    """``cop`` at the exponential survival margins (exp(-lam1 t1), exp(-lam2 t2))."""
+    return cop.value(np.stack([np.exp(-lam1 * np.asarray(t1, float)),
+                               np.exp(-lam2 * np.asarray(t2, float))], axis=-1))
+
+
 def gumbel_i_sf(t1, t2, lam1: float, lam2: float, lam12: float):
     """exp(-lam1 t1 - lam2 t2 - lam12 t1 t2), 0 <= lam12 <= lam1 lam2."""
     _check_rates(lam1, lam2)
@@ -51,10 +57,7 @@ def gumbel_i_sf(t1, t2, lam1: float, lam2: float, lam12: float):
 
 
 def gumbel_i_copula_sf(t1, t2, lam1: float, lam2: float, lam12: float):
-    cop = GumbelBarnet(alpha=lam12 / (lam1 * lam2))
-    uhat = np.stack([np.exp(-lam1 * np.asarray(t1, float)),
-                     np.exp(-lam2 * np.asarray(t2, float))], axis=-1)
-    return cop.value(uhat)
+    return _at_exponential_margins(GumbelBarnet(alpha=lam12 / (lam1 * lam2)), t1, t2, lam1, lam2)
 
 
 def gumbel_ii_sf(t1, t2, lam1: float, lam2: float, alpha: float):
@@ -68,10 +71,7 @@ def gumbel_ii_sf(t1, t2, lam1: float, lam2: float, alpha: float):
 
 
 def gumbel_ii_copula_sf(t1, t2, lam1: float, lam2: float, alpha: float):
-    cop = Fgm(alpha=alpha)
-    uhat = np.stack([np.exp(-lam1 * np.asarray(t1, float)),
-                     np.exp(-lam2 * np.asarray(t2, float))], axis=-1)
-    return cop.value(uhat)
+    return _at_exponential_margins(Fgm(alpha=alpha), t1, t2, lam1, lam2)
 
 
 def gumbel_iii_sf(t1, t2, lam1: float, lam2: float, alpha: float):
@@ -85,10 +85,7 @@ def gumbel_iii_sf(t1, t2, lam1: float, lam2: float, alpha: float):
 
 
 def gumbel_iii_copula_sf(t1, t2, lam1: float, lam2: float, alpha: float):
-    cop = GumbelHougaard(alpha=alpha)
-    uhat = np.stack([np.exp(-lam1 * np.asarray(t1, float)),
-                     np.exp(-lam2 * np.asarray(t2, float))], axis=-1)
-    return cop.value(uhat)
+    return _at_exponential_margins(GumbelHougaard(alpha=alpha), t1, t2, lam1, lam2)
 
 
 @dataclass(frozen=True)
@@ -111,9 +108,7 @@ class MarshallOlkinBVE:
 
     def copula_sf(self, t1, t2):
         cop = MarshallOlkin(alpha=(self.lam12 / self.lam1, self.lam12 / self.lam2))
-        uhat = np.stack([np.exp(-self.lam1 * np.asarray(t1, float)),
-                         np.exp(-self.lam2 * np.asarray(t2, float))], axis=-1)
-        return cop.value(uhat)
+        return _at_exponential_margins(cop, t1, t2, self.lam1, self.lam2)
 
     def series_sf(self, t):
         return self.sf(t, t)

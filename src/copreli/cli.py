@@ -181,6 +181,13 @@ def _comment_header(prov: dict) -> str:
     return "".join(f"# {k}={v}\n" for k, v in prov.items())
 
 
+def _with_provenance(report_json: str, prov: dict) -> str:
+    """A report's JSON text with the run's provenance added."""
+    record = json.loads(report_json)
+    record["provenance"] = prov
+    return json.dumps(record, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -189,18 +196,12 @@ def _comment_header(prov: dict) -> str:
 def _cmd_eval(config: RunConfig) -> tuple[str, int]:
     marginals = config.marginal_objs()
     mode = config.resolved_mode()
-    copula = config.copula_obj()
-    if mode == "dependent" and copula is not None:
-        bad = copula.param_violations()
-        if bad:
-            raise ConfigError("invalid copula parameters: " + "; ".join(bad))
-    system = System(marginals=marginals, structure=config.structure, mode=mode, copula=copula)
+    system = System(marginals=marginals, structure=config.structure, mode=mode,
+                    copula=config.copula_obj())
     curve = system.curve(config.grid(marginals))
     prov = _provenance(config)
     if config.format == "json":
-        record = json.loads(curve.to_json())
-        record["provenance"] = prov
-        return json.dumps(record, indent=2) + "\n", EXIT_OK
+        return _with_provenance(curve.to_json(), prov), EXIT_OK
     if config.format == "md":
         lines = ["| t | sf | hr | rhr | mrl | ai |", "| --- | --- | --- | --- | --- | --- |"]
         for i in range(curve.grid.size):
@@ -215,9 +216,6 @@ def _require_copula(config: RunConfig) -> Copula:
     copula = config.copula_obj()
     if copula is None:
         raise ConfigError("this subcommand needs --copula")
-    bad = copula.param_violations()
-    if bad:
-        raise ConfigError("invalid copula parameters: " + "; ".join(bad))
     return copula
 
 
@@ -233,9 +231,7 @@ def _cmd_error_table(config: RunConfig) -> tuple[str, int]:
         raise SingularityError(report.flags[0][1], t=first_bad)
     prov = _provenance(config)
     if config.format == "json":
-        record = json.loads(report.to_json())
-        record["provenance"] = prov
-        return json.dumps(record, indent=2) + "\n", EXIT_OK
+        return _with_provenance(report.to_json(), prov), EXIT_OK
     if config.format == "md":
         lines = ["| t | raw | relative | verdict |", "| --- | --- | --- | --- |"]
         for t, raw, rel, v in zip(report.grid, report.raw, report.relative,
@@ -280,9 +276,7 @@ def _cmd_table1(config: RunConfig) -> tuple[str, int]:
     report = build_ordering_report(marginals=marginals)
     prov = _provenance(config)
     if config.format == "json":
-        record = json.loads(report.to_json())
-        record["provenance"] = prov
-        return json.dumps(record, indent=2) + "\n", EXIT_OK
+        return _with_provenance(report.to_json(), prov), EXIT_OK
     if config.format == "csv":
         return _comment_header(prov) + report.to_csv(), EXIT_OK
     return _comment_header(prov) + report.to_markdown(), EXIT_OK

@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import CapacityError, ConfigError, DomainError
+from .numerics import scalar_or_array
 
 __all__ = [
     "Copula",
@@ -62,12 +63,6 @@ def _as_points(u, dim: int) -> np.ndarray:
     return pts
 
 
-def _scalar_like(x, template):
-    if np.ndim(template) == 1:
-        return float(x)
-    return x
-
-
 class Copula:
     """Common machinery for all families; concrete families are frozen dataclasses.
 
@@ -76,6 +71,10 @@ class Copula:
     duality check (``check_radial_duality``, ``copreli verify``); it plays no
     part in ``survival_value``, because the substitution it suggests is exact
     only for the bivariate FGM family.
+
+    Parameters are checked once, when an instance is built: an instance
+    outside its family's domain raises DomainError, so ``param_violations()``
+    of a built copula is empty.
     """
 
     family: ClassVar[str]
@@ -94,24 +93,21 @@ class Copula:
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_params(self) -> None:
+    def __post_init__(self):
         bad = self.param_violations()
         if bad:
             raise DomainError(f"invalid {self.family} parameters: " + "; ".join(bad))
 
     def value(self, u):
-        """Copula value C(u); raises DomainError on invalid parameters or points."""
-        self._check_params()
-        pts = _as_points(u, self.dim)
-        return _scalar_like(self._raw(pts), pts)
+        """Copula value C(u); raises DomainError on points outside the unit hypercube."""
+        return scalar_or_array(self._raw(_as_points(u, self.dim)))
 
     def survival_value(self, uhat):
         """Survival copula at uhat, by inclusion-exclusion over coordinate subsets.
 
         Equals ``poincare_survival(self, 1 - uhat)``; raises DomainError on
-        invalid parameters or points.
+        points outside the unit hypercube.
         """
-        self._check_params()
         return poincare_survival(self, 1.0 - _as_points(uhat, self.dim))
 
     def spec_string(self) -> str:
@@ -156,7 +152,7 @@ def poincare_survival(copula: Copula, u) -> float | np.ndarray:
             coords = np.ones_like(pts)
             coords[..., subset] = pts[..., subset]
             total = total + sign * copula._raw(coords)
-    return _scalar_like(total, pts)
+    return scalar_or_array(total)
 
 
 def _interval_violation(name: str, value: float, lo, hi, lo_open=False, hi_open=False) -> str | None:
@@ -364,6 +360,7 @@ class MarshallOlkin(Copula):
         object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
         if len(self.alpha) != self.dim and _dim_violation(self.dim) is None:
             object.__setattr__(self, "dim", len(self.alpha))
+        super().__post_init__()
 
     @property
     def margin_axiom_exempt(self) -> bool:
@@ -480,6 +477,7 @@ class RluExtended(Copula):
         object.__setattr__(self, "b", tuple(float(x) for x in np.atleast_1d(self.b)))
         if len(self.a) == len(self.b) and len(self.a) != self.dim and _dim_violation(self.dim) is None:
             object.__setattr__(self, "dim", len(self.a))
+        super().__post_init__()
 
     def param_violations(self):
         out = [_dim_violation(self.dim),
@@ -562,8 +560,9 @@ def format_copula(c: Copula) -> str:
 def parse_copula(spec: str) -> Copula:
     """Parse ``family:key=value,...`` into a copula instance.
 
-    Vector parameters use indexed keys (``alpha1=...,alpha2=...``); the
-    dimension is inferred from them, or given explicitly as ``dim=N``.
+    Keys are the family's dataclass fields.  Vector parameters use indexed
+    keys (``alpha1=...,alpha2=...``); the dimension is ``dim=N`` when given,
+    else the length of the first vector, else the family default.
     """
     text = spec.strip()
     name, sep, rest = text.partition(":")
@@ -587,73 +586,32 @@ def parse_copula(spec: str) -> Copula:
     elif sep:
         raise ConfigError(f"copula spec {spec!r}: empty parameter list", token=text)
 
-    def take_float(key: str) -> float:
-        if key not in kv:
-            raise ConfigError(f"copula spec {spec!r}: missing parameter {key!r}", token=key)
-        return _parse_float(spec, key, kv.pop(key))
-
-    def take_vector(key: str) -> tuple[float, ...]:
-        idx = 1
-        out = []
-        while f"{key}{idx}" in kv:
-            out.append(_parse_float(spec, f"{key}{idx}", kv.pop(f"{key}{idx}")))
-            idx += 1
-        if not out:
-            raise ConfigError(
-                f"copula spec {spec!r}: missing vector parameter {key}1, {key}2, ...", token=key
-            )
-        return tuple(out)
-
-    dim = None
-    if "dim" in kv:
-        raw_dim = kv.pop("dim")
+    def take(key: str, convert=float, kind="a number"):
+        raw = kv.pop(key)
         try:
-            dim = int(raw_dim)
+            return convert(raw)
         except ValueError:
-            raise ConfigError(f"copula spec {spec!r}: dim={raw_dim!r} is not an integer",
-                              token=raw_dim) from None
+            raise ConfigError(f"copula spec {spec!r}: {key}={raw!r} is not {kind}",
+                              token=raw) from None
 
-    try:
-        if name == "independence":
-            cop = Independence(dim=dim or 2)
-        elif name == "fgm":
-            cop = Fgm(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "fischer_kock":
-            cop = FischerKock(r=take_float("r"), alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "clayton":
-            cop = Clayton(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "gumbel_hougaard":
-            cop = GumbelHougaard(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "gumbel_barnet":
-            cop = GumbelBarnet(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "nelsen_ten":
-            cop = NelsenTen(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "marshall_olkin":
-            alpha = take_vector("alpha")
-            cop = MarshallOlkin(alpha=alpha, dim=dim or len(alpha))
-        elif name == "amh":
-            cop = Amh(alpha=take_float("alpha"), dim=dim or 2)
-        elif name == "fischer_hinzmann":
-            corrected = kv.pop("corrected", "false").lower() in ("true", "1", "yes")
-            cop = FischerHinzmann(m=take_float("m"), alpha=take_float("alpha"),
-                                  dim=dim or 2, corrected=corrected)
-        elif name == "rlu_extended":
-            a = take_vector("a")
-            b = take_vector("b")
-            cop = RluExtended(a=a, b=b, alpha=take_float("alpha"), dim=dim or len(a))
-        else:  # linear_spearman
-            cop = LinearSpearman(theta=take_float("theta"), dim=dim or 2)
-    except ConfigError:
-        raise
+    params = {"dim": take("dim", int, "an integer")} if "dim" in kv else {}
+    for f in fields(FAMILIES[name]):
+        if f.name == "dim":
+            continue
+        if f.type == "bool":
+            params[f.name] = kv.pop(f.name, "false").lower() in ("true", "1", "yes")
+        elif f.type.startswith("tuple"):
+            count = next(i for i in itertools.count(1) if f"{f.name}{i}" not in kv) - 1
+            if not count:
+                raise ConfigError(f"copula spec {spec!r}: missing vector parameter "
+                                  f"{f.name}1, {f.name}2, ...", token=f.name)
+            params[f.name] = tuple(take(f"{f.name}{i}") for i in range(1, count + 1))
+            params.setdefault("dim", count)
+        elif f.name in kv:
+            params[f.name] = take(f.name)
+        else:
+            raise ConfigError(f"copula spec {spec!r}: missing parameter {f.name!r}", token=f.name)
     if kv:
         extra = ", ".join(sorted(kv))
         raise ConfigError(f"copula spec {spec!r}: unknown parameter(s) {extra}", token=extra)
-    return cop
-
-
-def _parse_float(spec: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"copula spec {spec!r}: {key}={raw!r} is not a number",
-                          token=raw) from None
+    return FAMILIES[name](**params)

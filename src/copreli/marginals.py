@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, SingularityError
+from .numerics import scalar_or_array
 
 __all__ = [
     "Exponential",
@@ -40,13 +41,6 @@ def _check_prob(p):
     return p
 
 
-def _scalar_like(x, template):
-    # return a python float when the caller passed a scalar
-    if np.ndim(template) == 0:
-        return float(x)
-    return x
-
-
 @dataclass(frozen=True)
 class Exponential:
     """Exponential lifetime with rate ``lam`` (per unit time): sf(t) = exp(-lam t)."""
@@ -59,29 +53,29 @@ class Exponential:
 
     def cdf(self, t):
         tt = _check_time(t)
-        return _scalar_like(-np.expm1(-self.lam * tt), t)
+        return scalar_or_array(-np.expm1(-self.lam * tt))
 
     def sf(self, t):
         tt = _check_time(t)
-        return _scalar_like(np.exp(-self.lam * tt), t)
+        return scalar_or_array(np.exp(-self.lam * tt))
 
     def pdf(self, t):
         tt = _check_time(t)
-        return _scalar_like(self.lam * np.exp(-self.lam * tt), t)
+        return scalar_or_array(self.lam * np.exp(-self.lam * tt))
 
     def hazard(self, t):
         tt = _check_time(t)
-        return _scalar_like(np.full_like(tt, self.lam, dtype=float), t)
+        return scalar_or_array(np.full_like(tt, self.lam, dtype=float))
 
     def reversed_hazard(self, t):
         tt = _check_time(t)
         if np.any(tt <= 0):
             raise SingularityError("reversed hazard undefined where the cdf vanishes", t=0.0)
-        return _scalar_like(self.pdf(tt) / self.cdf(tt), t)
+        return scalar_or_array(self.pdf(tt) / self.cdf(tt))
 
     def quantile(self, p):
         pp = _check_prob(p)
-        return _scalar_like(-np.log1p(-pp) / self.lam, p)
+        return scalar_or_array(-np.log1p(-pp) / self.lam)
 
     def mean(self) -> float:
         return 1.0 / self.lam
@@ -105,11 +99,11 @@ class Weibull:
 
     def cdf(self, t):
         tt = _check_time(t)
-        return _scalar_like(-np.expm1(-((self.lam * tt) ** self.k)), t)
+        return scalar_or_array(-np.expm1(-((self.lam * tt) ** self.k)))
 
     def sf(self, t):
         tt = _check_time(t)
-        return _scalar_like(np.exp(-((self.lam * tt) ** self.k)), t)
+        return scalar_or_array(np.exp(-((self.lam * tt) ** self.k)))
 
     def pdf(self, t):
         tt = _check_time(t)
@@ -120,7 +114,7 @@ class Weibull:
         # t = 0 limit: 0 for k > 1, lam for k = 1, +inf for k < 1
         if self.k == 1.0:
             out = np.where(np.asarray(tt) == 0, self.lam, out)
-        return _scalar_like(out, t)
+        return scalar_or_array(out)
 
     def hazard(self, t):
         tt = _check_time(t)
@@ -128,17 +122,17 @@ class Weibull:
             out = self.k * self.lam * (self.lam * tt) ** (self.k - 1.0)
         if self.k == 1.0:
             out = np.where(np.asarray(tt) == 0, self.lam, out)
-        return _scalar_like(out, t)
+        return scalar_or_array(out)
 
     def reversed_hazard(self, t):
         tt = _check_time(t)
         if np.any(tt <= 0):
             raise SingularityError("reversed hazard undefined where the cdf vanishes", t=0.0)
-        return _scalar_like(self.pdf(tt) / self.cdf(tt), t)
+        return scalar_or_array(self.pdf(tt) / self.cdf(tt))
 
     def quantile(self, p):
         pp = _check_prob(p)
-        return _scalar_like((-np.log1p(-pp)) ** (1.0 / self.k) / self.lam, p)
+        return scalar_or_array((-np.log1p(-pp)) ** (1.0 / self.k) / self.lam)
 
     def mean(self) -> float:
         return math.gamma(1.0 + 1.0 / self.k) / self.lam
@@ -159,11 +153,12 @@ def parse_marginal(spec: str) -> Marginal:
         raise ConfigError(f"marginal spec {spec!r} must look like 'exp:1.0' or 'weibull:1.0,2.0'",
                           token=text)
     parts = [p.strip() for p in rest.split(",")]
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        bad = next(p for p in parts if not _is_float(p))
-        raise ConfigError(f"marginal spec {spec!r}: {bad!r} is not a number", token=bad) from None
+    values = []
+    for p in parts:
+        try:
+            values.append(float(p))
+        except ValueError:
+            raise ConfigError(f"marginal spec {spec!r}: {p!r} is not a number", token=p) from None
     if kind in ("exp", "exponential"):
         if len(values) != 1:
             raise ConfigError(f"marginal spec {spec!r}: exponential takes one rate", token=rest)
@@ -177,11 +172,3 @@ def parse_marginal(spec: str) -> Marginal:
 
 def format_marginal(m: Marginal) -> str:
     return m.spec_string()
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False

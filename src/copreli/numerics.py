@@ -6,7 +6,8 @@ to t is accurate to ~1e-8 relative and exact for log-quadratic laws.
 
 The stencil works on whole grids: each function is evaluated once, on both
 sides of every point, and each point carries the reason it is undefined
-(empty where it is defined).
+(empty where it is defined).  ``scalar_or_array`` is the package's one rule
+for results: one with no axes is returned as a python float.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .exceptions import SingularityError
 
 __all__ = [
+    "scalar_or_array",
     "adaptive_step",
     "Stencil",
     "defined_or_raise",
@@ -29,6 +31,11 @@ __all__ = [
 _TINY = 1e-12
 _NOT_INTERIOR = "log-derivative needs an interior point t > 0"
 _VANISHES = "function vanishes inside the stencil"
+
+
+def scalar_or_array(x):
+    """``x`` as a python float when it has no axes, otherwise unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def adaptive_step(t):
@@ -75,7 +82,7 @@ def defined_or_raise(t, values: np.ndarray, reason: np.ndarray):
     bad = np.flatnonzero(reason != "")
     if bad.size:
         raise SingularityError(str(reason[bad[0]]), t=float(np.ravel(t)[bad[0]]))
-    return float(values[0]) if np.ndim(t) == 0 else values
+    return scalar_or_array(values.reshape(np.shape(t)))
 
 
 def central_log_derivative(f: Callable, t, h=None):
@@ -88,13 +95,16 @@ def central_log_derivative(f: Callable, t, h=None):
     return defined_or_raise(t, *stencil.log_derivative(f(stencil.points)))
 
 
-def central_derivative(f: Callable[[float], float], t: float,
-                       h: float | None = None) -> float:
-    if h is None:
-        h = adaptive_step(t)
-    if t - h < 0.0:
-        h = t / 2.0 if t > 0 else 1e-6
-    return (f(t + h) - f(t - h)) / (2.0 * h)
+def central_derivative(f: Callable, t, h=None):
+    """d/dt f(t) by central differences, for a number or an array of times.
+
+    ``f`` maps an array of times to an array; the step defaults to
+    ``adaptive_step(t)`` and shrinks to t/2 near 0 (1e-6 at t <= 0).
+    """
+    t = np.asarray(t, dtype=float)
+    h = adaptive_step(t) if h is None else np.asarray(h, dtype=float)
+    h = np.where(t - h < 0.0, np.where(t > 0, t / 2.0, 1e-6), h)
+    return scalar_or_array((f(t + h) - f(t - h)) / (2.0 * h))
 
 
 def richardson_pair(coarse, fine, order: int = 2, ratio: float = 2.0):

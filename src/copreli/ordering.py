@@ -40,7 +40,7 @@ from .copulas import (
 )
 from .exceptions import DomainError
 from .marginals import Exponential
-from .numerics import central_derivative
+from .numerics import central_derivative, scalar_or_array
 
 __all__ = [
     "MonotonicityVerdict",
@@ -95,7 +95,7 @@ def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
             else:
                 u = coords("cdf" if kind == "C_over_C1" else "sf", t)
                 out = copula.value(u) / np.prod(u, axis=-1)
-        return float(out) if t.ndim == 0 else out
+        return scalar_or_array(out)
 
     return ratio
 
@@ -358,21 +358,18 @@ def check_lr_linear_spearman(theta: float, marginals, grid=None,
     grid = np.asarray(grid, dtype=float)
     # precondition: decreasing reversed hazards, verified on the grid
     for m in marginals:
-        rhr = np.array([m.reversed_hazard(float(t)) for t in grid])
+        rhr = m.reversed_hazard(grid)
         if np.any(np.diff(rhr) > 1e-12 * (1.0 + np.abs(rhr[:-1]))):
             raise DomainError("marginal reversed hazard is not decreasing on the grid")
     cop = LinearSpearman(theta=theta)
 
     def cdf_dep(t):
-        return float(cop.value(np.array([marginals[0].cdf(t), marginals[1].cdf(t)])))
+        return cop.value(np.stack([marginals[0].cdf(t), marginals[1].cdf(t)], axis=-1))
 
     def cdf_ind(t):
-        return float(marginals[0].cdf(t) * marginals[1].cdf(t))
+        return marginals[0].cdf(t) * marginals[1].cdf(t)
 
-    ratio = np.array([
-        central_derivative(cdf_dep, float(t)) / central_derivative(cdf_ind, float(t))
-        for t in grid
-    ])
+    ratio = central_derivative(cdf_dep, grid) / central_derivative(cdf_ind, grid)
     increases = np.diff(ratio)
     if increases.size:
         at = int(np.argmax(increases))

@@ -25,7 +25,7 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import CopreliError, DomainError, IntegrationError, SingularityError
 from .marginals import Marginal
-from .numerics import Stencil, defined_or_raise
+from .numerics import Stencil, defined_or_raise, scalar_or_array
 
 __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 
@@ -136,9 +136,6 @@ class System:
                 raise DomainError(
                     f"copula dimension {self.copula.dim} != component count {n}"
                 )
-            bad = self.copula.param_violations()
-            if bad:
-                raise DomainError("invalid copula parameters: " + "; ".join(bad))
 
     @property
     def n(self) -> int:
@@ -151,8 +148,7 @@ class System:
         if pts.ndim > 2:
             raise DomainError("t must be a number or a one-dimensional array")
         if self.mode == "independent":
-            value = pts.prod(axis=-1)
-            return float(value) if pts.ndim == 1 else value
+            return scalar_or_array(pts.prod(axis=-1))
         return self.copula.value(pts)
 
     def sf(self, t):
@@ -226,10 +222,6 @@ class System:
         if not (_SF_FLOOR < sft < 1.0 - 1e-15):
             raise SingularityError("aging intensity undefined where sf is 0 or 1", t=t)
         return t * self.hazard(t) / (-math.log(sft))
-
-    def independent_twin(self) -> "System":
-        """The same components with the independence assumption imposed."""
-        return System(marginals=self.marginals, structure=self.structure, mode="independent")
 
     def curve(self, grid) -> "ReliabilityCurve":
         return ReliabilityCurve.build(self, grid)

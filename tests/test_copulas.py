@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_SAMPLERS, families_for_dim, random_instance
+from conftest import FAMILY_CASES, FAMILY_SAMPLERS, families_for_dim, random_instance
 from copreli import (
+    FAMILIES,
     Amh,
     CapacityError,
     Clayton,
@@ -20,9 +21,12 @@ from copreli import (
     MarshallOlkin,
     NelsenTen,
     RluExtended,
+    System,
+    Weibull,
     format_copula,
     parse_copula,
     poincare_survival,
+    sample_bivariate,
 )
 
 # Frozen by hand substitution into each family's formula (high-precision
@@ -284,15 +288,80 @@ def test_fgm_between_frechet_bounds_property(alpha, u1, u2):
 
 
 def test_param_violations_name_parameter_and_interval():
-    v = Fgm(alpha=1.5).param_violations()
-    assert len(v) == 1 and "alpha" in v[0] and "[-1.0, 1.0]" in v[0]
-    v = GumbelHougaard(alpha=0.5).param_violations()
-    assert len(v) == 1 and "alpha" in v[0] and "1.0" in v[0]
+    # an invalid copula cannot be built: the constructor names the violation
+    for build, message in (
+        (lambda: Fgm(alpha=1.5), "invalid fgm parameters: alpha=1.5 outside [-1.0, 1.0]"),
+        (lambda: GumbelHougaard(alpha=0.5),
+         "invalid gumbel_hougaard parameters: alpha=0.5 outside [1.0, inf]"),
+        (lambda: Clayton(alpha=0.0),  # open endpoint
+         "invalid clayton parameters: alpha=0.0 outside (0.0, inf]"),
+        (lambda: LinearSpearman(theta=0.5, dim=3),
+         "invalid linear_spearman parameters: dim=3 must be 2 for linear_spearman"),
+    ):
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value) == message
     assert Clayton(alpha=1.0).param_violations() == []
-    assert Clayton(alpha=0.0).param_violations()  # open endpoint
-    assert LinearSpearman(theta=0.5, dim=3).param_violations()
-    with pytest.raises(DomainError):
-        Fgm(alpha=1.5).value([0.5, 0.5])
+
+
+# one parameter outside its family's domain, and how the constructor names it
+INVALID_CASES = [
+    (lambda: Independence(dim=1), "independence", "dim=1 must be an integer >= 2"),
+    (lambda: Fgm(alpha=-1.5), "fgm", "alpha=-1.5 outside [-1.0, 1.0]"),
+    (lambda: FischerKock(r=0.5, alpha=0.2), "fischer_kock", "r=0.5 outside [1.0, inf]"),
+    (lambda: Clayton(alpha=-2.0), "clayton", "alpha=-2.0 outside (0.0, inf]"),
+    (lambda: GumbelHougaard(alpha=0.9), "gumbel_hougaard", "alpha=0.9 outside [1.0, inf]"),
+    (lambda: GumbelBarnet(alpha=1.5), "gumbel_barnet", "alpha=1.5 outside [0.0, 1.0]"),
+    (lambda: NelsenTen(alpha=0.0), "nelsen_ten", "alpha=0.0 outside (0.0, 1.0]"),
+    (lambda: MarshallOlkin(alpha=(0.5, -1.0)), "marshall_olkin",
+     "alpha2=-1.0 outside (0.0, inf]"),
+    (lambda: Amh(alpha=1.5), "amh", "alpha=1.5 outside [-1.0, 1.0]"),
+    (lambda: FischerHinzmann(m=0.5, alpha=0.5), "fischer_hinzmann", "m=0.5 outside [1.0, inf]"),
+    (lambda: RluExtended(a=(2.0, 0.5), b=(2.0, 2.0), alpha=0.5), "rlu_extended",
+     "a2=0.5 outside [1.0, inf]"),
+    (lambda: LinearSpearman(theta=1.5), "linear_spearman", "theta=1.5 outside [-1.0, 1.0]"),
+]
+
+
+def test_invalid_cases_cover_every_family():
+    assert {family for _, family, _ in INVALID_CASES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("build,family,violation", INVALID_CASES,
+                         ids=[case[1] for case in INVALID_CASES])
+def test_invalid_parameters_raise_when_built(build, family, violation):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == f"invalid {family} parameters: {violation}"
+
+
+@pytest.mark.parametrize("family,dim", FAMILY_CASES)
+def test_built_copulas_have_no_violations(family, dim):
+    assert random_instance(family, np.random.default_rng(3), dim=dim).param_violations() == []
+
+
+def test_parameters_are_checked_only_when_built(monkeypatch):
+    calls = []
+
+    def counting(check):
+        def wrapper(self):
+            calls.append(self)
+            return check(self)
+        return wrapper
+
+    for cls in FAMILIES.values():
+        monkeypatch.setattr(cls, "param_violations", counting(cls.__dict__["param_violations"]))
+    cop = Clayton(alpha=2.0)
+    assert len(calls) == 1
+    calls.clear()
+    cop.value([0.3, 0.6])
+    cop.value(np.full((4, 2), 0.5))
+    cop.survival_value([0.3, 0.6])
+    marginals = (Weibull(1.0, 2.0), Weibull(2.0, 1.5))
+    system = System(marginals=marginals, structure="parallel", mode="dependent", copula=cop)
+    system.sf(np.array([0.5, 1.0]))
+    sample_bivariate(cop, marginals, 64, seed=1)
+    assert calls == []
 
 
 def test_point_validation():
@@ -337,6 +406,14 @@ def test_roundtrip_preserves_awkward_floats():
     assert again.alpha == cop.alpha  # bit-exact
 
 
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_parse_inverts_spec_string_property(case, seed):
+    family, dim = case
+    cop = random_instance(family, np.random.default_rng(seed), dim=dim)
+    assert parse_copula(cop.spec_string()) == cop
+
+
 @pytest.mark.parametrize("bad,token", [
     ("frank:alpha=0.5", "frank"),
     ("fgm:alpha", "alpha"),
@@ -349,6 +426,23 @@ def test_parse_copula_errors(bad, token):
     with pytest.raises(ConfigError) as err:
         parse_copula(bad)
     assert token in str(err.value)
+
+
+@pytest.mark.parametrize("bad,message,token", [
+    ("fgm:alpha=0.5,alpha=0.2", "duplicate key 'alpha'", "alpha"),
+    ("fgm:alpha=x,dim=y", "dim='y' is not an integer", "y"),  # dim is read first
+    ("rlu_extended:a1=2,a2=2,alpha=1", "missing vector parameter b1, b2, ...", "b"),
+    ("fischer_kock:alpha=0.5", "missing parameter 'r'", "r"),
+    # an unknown key is reported before the out-of-domain alpha
+    ("fgm:alpha=2,beta=1", "unknown parameter(s) beta", "beta"),
+    ("marshall_olkin:alpha1=1,alpha3=2", "unknown parameter(s) alpha3", "alpha3"),
+    ("marshall_olkin:alpha1=1,alpha2=y", "alpha2='y' is not a number", "y"),
+])
+def test_parse_copula_error_messages(bad, message, token):
+    with pytest.raises(ConfigError) as err:
+        parse_copula(bad)
+    assert str(err.value) == f"copula spec {bad!r}: {message}"
+    assert err.value.token == token
 
 
 def test_all_families_have_samplers():

@@ -410,7 +410,7 @@ def test_lr_check_preconditions():
     class IncreasingRhr:
         # stand-in lifetime whose reversed hazard rises on the grid
         def cdf(self, t):
-            return min(float(t) / 10.0, 1.0)
+            return np.minimum(np.asarray(t) / 10.0, 1.0)
 
         def sf(self, t):
             return 1.0 - self.cdf(t)
@@ -419,7 +419,7 @@ def test_lr_check_preconditions():
             return 10.0 * p
 
         def reversed_hazard(self, t):
-            return 0.1 + 0.05 * float(t)
+            return 0.1 + 0.05 * np.asarray(t)
 
     with pytest.raises(DomainError):
         check_lr_linear_spearman(0.5, (IncreasingRhr(), IncreasingRhr()))

@@ -1,10 +1,16 @@
-"""Fresh-interpreter checks: the package imports without scipy and every demo runs."""
+"""Fresh-interpreter checks: the package imports without scipy and every demo runs.
 
+Also checks that the benchmark's span tracer still finds every name it wraps.
+"""
+
+import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,3 +36,28 @@ def test_import_does_not_load_scipy():
 def test_demo_runs(demo):
     proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_bench_tracer_wraps_and_restores_the_package(monkeypatch):
+    # bench/tracing.py wraps copreli's layers by name; a rename here would
+    # otherwise only show as a failing `bench/run.py --trace 1`
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("copreli_bench_tracing",
+                                                  ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from copreli import Clayton, Exponential, System, copulas
+
+    original = copulas.Copula.value
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        system = System(marginals=(Exponential(1.0), Exponential(2.0)), structure="series",
+                        mode="dependent", copula=Clayton(alpha=2.0))
+        system.curve(np.geomspace(0.1, 2.0, 5))
+    finally:
+        tracer.uninstall()
+    assert copulas.Copula.value is original
+    calls = Counter(tracer.names[i] for i in tracer.name)
+    assert calls["systems.curve"] == 1 and calls["copulas.value"] > 0
+    assert calls["copulas.param_violations"] == 1  # the construction, nothing after it

@@ -23,10 +23,14 @@ from copreli import (
     IntegrationError,
     LinearSpearman,
     SingularityError,
+    Clayton,
     System,
     Weibull,
     parse_copula,
+    poincare_survival,
+    ratio_function,
 )
+from copreli.numerics import central_derivative
 from copreli.systems import _integrate
 
 E1 = Exponential(1.0)
@@ -79,6 +83,32 @@ def test_array_times_match_scalar_calls():
                     assert isinstance(f(0.5), float)
                     np.testing.assert_allclose(f(grid), [f(float(t)) for t in grid],
                                                rtol=0.0, atol=atol)
+
+
+_CLAYTON3 = Clayton(alpha=2.0, dim=3)
+_MARGINALS3 = (E1, Weibull(1.2, 1.7), Exponential(0.5))
+_SCALAR_RULE_CASES = [
+    ("Copula.value", _CLAYTON3.value, [0.3, 0.6, 0.8], [[0.3, 0.6, 0.8]]),
+    ("poincare_survival", lambda u: poincare_survival(_CLAYTON3, u), [0.3, 0.6, 0.8],
+     [[0.3, 0.6, 0.8]]),
+    *[(f"{type(m).__name__}.{name}", getattr(m, name), 0.4, [0.4])
+      for m in (E1, Weibull(1.2, 1.7))
+      for name in ("cdf", "sf", "pdf", "hazard", "reversed_hazard", "quantile")],
+    *[(f"System.{name}-{structure}",
+       getattr(System(_MARGINALS3, structure, "dependent", _CLAYTON3), name), 0.4, [0.4])
+      for structure in ("series", "parallel") for name in ("sf", "cdf", "hazard")],
+    ("ratio_function", ratio_function(_CLAYTON3, _MARGINALS3, "C_over_Chat"), 0.4, [0.4]),
+    ("central_derivative", lambda t: central_derivative(E1.sf, t), 0.4, [0.4]),
+]
+
+
+@pytest.mark.parametrize("call,number,one", [case[1:] for case in _SCALAR_RULE_CASES],
+                         ids=[case[0] for case in _SCALAR_RULE_CASES])
+def test_a_number_gives_a_float_and_an_array_an_array(call, number, one):
+    assert type(call(number)) is float
+    out = call(np.array(one))
+    assert isinstance(out, np.ndarray) and out.shape == (1,)
+    assert out[0] == pytest.approx(call(number), rel=1e-14)
 
 
 def test_time_domain_checks():
