@@ -21,7 +21,7 @@ from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
 from .numerics import Stencil, defined_or_raise
-from .systems import System, log_rate
+from .systems import _SF_FLOOR, System, log_rate
 
 __all__ = [
     "SystemPair",
@@ -64,7 +64,7 @@ class SystemPair:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         dep = self.dependent.sf(t)
         ind = self.independent.sf(t)
-        vanished = ind <= 1e-12
+        vanished = ind <= _SF_FLOOR
         raw = np.where(vanished, np.nan, dep - ind)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = raw / ind

@@ -45,7 +45,7 @@ from .ordering import (
     infer_ordering,
     verify_theorem1,
 )
-from .systems import System
+from .systems import CURVE_COLUMNS, System
 
 __all__ = ["main", "RunConfig", "parse_config_text"]
 
@@ -203,11 +203,10 @@ def _cmd_eval(config: RunConfig) -> tuple[str, int]:
     if config.format == "json":
         return _with_provenance(curve.to_json(), prov), EXIT_OK
     if config.format == "md":
-        lines = ["| t | sf | hr | rhr | mrl | ai |", "| --- | --- | --- | --- | --- | --- |"]
-        for i in range(curve.grid.size):
-            lines.append("| " + " | ".join(
-                f"{x:.6g}" for x in (curve.grid[i], curve.sf[i], curve.hr[i],
-                                     curve.rhr[i], curve.mrl[i], curve.ai[i])) + " |")
+        names = ("t",) + CURVE_COLUMNS
+        lines = ["| " + " | ".join(names) + " |", "|" + " --- |" * len(names)]
+        for row in zip(curve.grid, *(getattr(curve, name) for name in CURVE_COLUMNS)):
+            lines.append("| " + " | ".join(f"{x:.6g}" for x in row) + " |")
         return _comment_header(prov) + "\n".join(lines) + "\n", EXIT_OK
     return _comment_header(prov) + curve.to_csv(), EXIT_OK
 

@@ -352,13 +352,13 @@ class MarshallOlkin(Copula):
     """
 
     alpha: tuple[float, ...]
-    dim: int = 2
+    dim: int | None = None  # None: the length of alpha
     family: ClassVar[str] = "marshall_olkin"
     radially_symmetric: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
-        if len(self.alpha) != self.dim and _dim_violation(self.dim) is None:
+        if self.dim is None:
             object.__setattr__(self, "dim", len(self.alpha))
         super().__post_init__()
 
@@ -469,13 +469,13 @@ class RluExtended(Copula):
     a: tuple[float, ...]
     b: tuple[float, ...]
     alpha: float
-    dim: int = 2
+    dim: int | None = None  # None: the length of a
     family: ClassVar[str] = "rlu_extended"
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in np.atleast_1d(self.a)))
         object.__setattr__(self, "b", tuple(float(x) for x in np.atleast_1d(self.b)))
-        if len(self.a) == len(self.b) and len(self.a) != self.dim and _dim_violation(self.dim) is None:
+        if self.dim is None:
             object.__setattr__(self, "dim", len(self.a))
         super().__post_init__()
 
@@ -606,7 +606,6 @@ def parse_copula(spec: str) -> Copula:
                 raise ConfigError(f"copula spec {spec!r}: missing vector parameter "
                                   f"{f.name}1, {f.name}2, ...", token=f.name)
             params[f.name] = tuple(take(f"{f.name}{i}") for i in range(1, count + 1))
-            params.setdefault("dim", count)
         elif f.name in kv:
             params[f.name] = take(f.name)
         else:

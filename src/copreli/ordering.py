@@ -41,6 +41,7 @@ from .copulas import (
 from .exceptions import DomainError
 from .marginals import Exponential
 from .numerics import central_derivative, scalar_or_array
+from .systems import System
 
 __all__ = [
     "MonotonicityVerdict",
@@ -63,7 +64,21 @@ __all__ = [
     "DEFAULT_REPORT_ROWS",
 ]
 
-RATIO_KINDS = ("C_over_C1", "Chat_over_Chat1", "C_over_Chat")
+# ratio kind -> (system of _systems, function) of the numerator and the denominator
+_RATIOS = {"C_over_C1": (("P_D", "cdf"), ("P_I", "cdf")),
+           "Chat_over_Chat1": (("S_D", "sf"), ("S_I", "sf")),
+           "C_over_Chat": (("P_D", "cdf"), ("S_D", "sf"))}
+RATIO_KINDS = tuple(_RATIOS)
+
+
+def _systems(copula: Copula, marginals) -> dict[str, System]:
+    """The parallel (P) and series (S) systems over ``marginals``, dependent
+    (D) through ``copula`` and independent (I), keyed "P_D", "P_I", "S_D", "S_I"."""
+    marginals = tuple(marginals)
+    if copula.dim != len(marginals):
+        raise DomainError(f"copula dimension {copula.dim} != marginal count {len(marginals)}")
+    return {f"{structure[0].upper()}_{mode[0].upper()}": System(marginals, structure, mode, copula)
+            for structure in ("parallel", "series") for mode in ("dependent", "independent")}
 
 
 def default_grid(marginals, points: int = 64, lo: float = 1e-3, hi: float = 0.999) -> np.ndarray:
@@ -73,29 +88,21 @@ def default_grid(marginals, points: int = 64, lo: float = 1e-3, hi: float = 0.99
 
 
 def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
-    """t -> copula ratio of the requested kind along the diagonal.
+    """t -> copula ratio of the requested kind along the diagonal, as the
+    quotient of two system functions (``_RATIOS``).
 
     The function takes a number (returning a float) or a one-dimensional
-    array of times (returning an array) and makes one copula call per side.
+    array of times (returning an array) and makes one call per side.
     """
     if kind not in RATIO_KINDS:
         raise DomainError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
-    marginals = tuple(marginals)
-    if copula.dim != len(marginals):
-        raise DomainError(f"copula dimension {copula.dim} != marginal count {len(marginals)}")
-
-    def coords(which: str, t: np.ndarray) -> np.ndarray:
-        return np.stack([getattr(m, which)(t) for m in marginals], axis=-1)
+    systems = _systems(copula, marginals)
+    num, den = (getattr(systems[key], which) for key, which in _RATIOS[kind])
 
     def ratio(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "C_over_Chat":
-                out = np.divide(copula.value(coords("cdf", t)), copula.value(coords("sf", t)))
-            else:
-                u = coords("cdf" if kind == "C_over_C1" else "sf", t)
-                out = copula.value(u) / np.prod(u, axis=-1)
-        return scalar_or_array(out)
+            return scalar_or_array(np.divide(num(t), den(t)))
 
     return ratio
 
@@ -227,6 +234,8 @@ class OrderingVerdict:
 
 
 _IMPLIED = {"series": ("mrl", "st"), "parallel": ("st",)}
+_DIRECTION = {"increasing": "D_ge_I", "decreasing": "D_le_I", "constant": "equal",
+              "non_monotone": "none"}
 
 
 def infer_ordering(copula: Copula, marginals, structure: str,
@@ -241,14 +250,7 @@ def infer_ordering(copula: Copula, marginals, structure: str,
     mono = classify_monotonicity(ratio_function(copula, marginals, kind), grid,
                                  refine_budget=refine_budget)
     relation = "hr" if structure == "series" else "rhr"
-    if mono.classification == "increasing":
-        direction = "D_ge_I"
-    elif mono.classification == "decreasing":
-        direction = "D_le_I"
-    elif mono.classification == "constant":
-        direction = "equal"
-    else:
-        direction = "none"
+    direction = _DIRECTION[mono.classification]
     proper = abs(float(copula.value(np.ones(copula.dim))) - 1.0) <= 1e-12
     implied = _IMPLIED[structure] if proper and direction in ("D_ge_I", "D_le_I") else ()
     return OrderingVerdict(structure=structure, relation=relation, direction=direction,
@@ -271,18 +273,14 @@ _THEOREM1_INEQUALITIES = ("P_I >= S_I", "P_I >= S_D", "P_D >= S_I", "P_D >= S_D"
 def verify_theorem1(copula: Copula, marginals, grid=None,
                     slack_tol: float = 1e-10) -> Theorem1Result:
     """Check F_P^I, F_P^D >= F_S^I, F_S^D (as survival functions) pointwise."""
-    marginals = tuple(marginals)
+    systems = _systems(copula, marginals)
     if grid is None:
         grid = default_grid(marginals)
     t = np.asarray(grid, dtype=float)
-    u = np.stack([m.cdf(t) for m in marginals], axis=-1)
-    uhat = np.stack([m.sf(t) for m in marginals], axis=-1)
-    sf_pi = 1.0 - np.prod(u, axis=-1)
-    sf_si = np.prod(uhat, axis=-1)
-    sf_pd = 1.0 - copula.value(u)
-    sf_sd = copula.value(uhat)
+    sf = {key: system.sf(t) for key, system in systems.items()}
     # one row per grid point, in the order of _THEOREM1_INEQUALITIES
-    slack = np.stack([sf_pi - sf_si, sf_pi - sf_sd, sf_pd - sf_si, sf_pd - sf_sd], axis=-1)
+    slack = np.stack([sf[left] - sf[right] for left, right in
+                      (pair.split(" >= ") for pair in _THEOREM1_INEQUALITIES)], axis=-1)
     slack = np.where(np.isnan(slack), np.inf, slack).ravel()
     if not np.any(slack < np.inf):
         return Theorem1Result(passed=True, worst_slack=float("inf"), worst_t=float("nan"),
@@ -361,15 +359,9 @@ def check_lr_linear_spearman(theta: float, marginals, grid=None,
         rhr = m.reversed_hazard(grid)
         if np.any(np.diff(rhr) > 1e-12 * (1.0 + np.abs(rhr[:-1]))):
             raise DomainError("marginal reversed hazard is not decreasing on the grid")
-    cop = LinearSpearman(theta=theta)
-
-    def cdf_dep(t):
-        return cop.value(np.stack([marginals[0].cdf(t), marginals[1].cdf(t)], axis=-1))
-
-    def cdf_ind(t):
-        return marginals[0].cdf(t) * marginals[1].cdf(t)
-
-    ratio = central_derivative(cdf_dep, grid) / central_derivative(cdf_ind, grid)
+    systems = _systems(LinearSpearman(theta=theta), marginals)
+    ratio = (central_derivative(systems["P_D"].cdf, grid)
+             / central_derivative(systems["P_I"].cdf, grid))
     increases = np.diff(ratio)
     if increases.size:
         at = int(np.argmax(increases))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +31,7 @@ __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 CURVE_COLUMNS = ("sf", "hr", "rhr", "mrl", "ai")
 
 _SF_FLOOR = 1e-12
+_AI_NEEDS_POSITIVE_T = "aging intensity needs t > 0"
 
 
 def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +106,17 @@ def log_rate(stencil: Stencil, at: np.ndarray, sides: np.ndarray,
     return rate, reason
 
 
+def _aging_intensity(t: np.ndarray, hr: np.ndarray, reason: np.ndarray,
+                     sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aging intensity t hr / -ln sf at each t, with the reason each is undefined,
+    from the hazard, the reason it is undefined, and sf at t (``System._rate``)."""
+    reason = np.where((_SF_FLOOR < sf) & (sf < 1.0 - 1e-15), reason,
+                      "aging intensity undefined where sf is 0 or 1")
+    reason = np.where(t > 0, reason, _AI_NEEDS_POSITIVE_T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(reason == "", t * hr / -np.log(sf), np.nan), reason
+
+
 @dataclass(frozen=True)
 class System:
     """A series or parallel system over ``marginals`` with copula dependence.
@@ -169,13 +180,13 @@ class System:
             return self._joint(t, "cdf")
         return 1.0 - self.sf(t)
 
-    def _rate(self, t, h, which: str) -> tuple[np.ndarray, np.ndarray]:
-        """Hazard (``which="sf"``) or reversed hazard (``"cdf"``) at each t, with
-        the reason each point is undefined; one call of ``which``."""
+    def _rate(self, t, h, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hazard (``which="sf"``) or reversed hazard (``"cdf"``), the reason each
+        is undefined, and ``which``, at each t, from one call of ``which``."""
         stencil = Stencil(t, h)
         n = stencil.t.size
         values = getattr(self, which)(np.concatenate([stencil.t, stencil.points]))
-        return log_rate(stencil, values[:n], values[n:], which)
+        return (*log_rate(stencil, values[:n], values[n:], which), values[:n])
 
     def hazard(self, t, h=None):
         """-d/dt ln sf(t) by central differences with an adaptive step.
@@ -183,11 +194,11 @@ class System:
         ``t`` is a number or a one-dimensional array; raises SingularityError at
         the first t where the hazard is undefined.
         """
-        return defined_or_raise(t, *self._rate(t, h, "sf"))
+        return defined_or_raise(t, *self._rate(t, h, "sf")[:2])
 
     def reversed_hazard(self, t, h=None):
         """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
-        return defined_or_raise(t, *self._rate(t, h, "cdf"))
+        return defined_or_raise(t, *self._rate(t, h, "cdf")[:2])
 
     def mrl(self, t: float) -> float:
         """Mean residual life: integral of sf over (t, inf) divided by sf(t).
@@ -214,14 +225,13 @@ class System:
             )
         return _integrate(self.sf, t, upper) / sft
 
-    def ai(self, t: float) -> float:
-        """Aging intensity: t times the hazard over the cumulative hazard -ln sf(t)."""
-        if t <= 0:
-            raise DomainError("aging intensity needs t > 0")
-        sft = self.sf(t)
-        if not (_SF_FLOOR < sft < 1.0 - 1e-15):
-            raise SingularityError("aging intensity undefined where sf is 0 or 1", t=t)
-        return t * self.hazard(t) / (-math.log(sft))
+    def ai(self, t):
+        """Aging intensity t hr(t) / -ln sf(t) at a number or a one-dimensional
+        array; DomainError if any t <= 0, else SingularityError at the first t
+        where it is undefined."""
+        if np.any(np.asarray(t) <= 0):
+            raise DomainError(_AI_NEEDS_POSITIVE_T)
+        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), *self._rate(t, None, "sf")))
 
     def curve(self, grid) -> "ReliabilityCurve":
         return ReliabilityCurve.build(self, grid)
@@ -245,42 +255,41 @@ class ReliabilityCurve:
 
     @staticmethod
     def build(system: System, grid) -> "ReliabilityCurve":
+        """sf and hr from one sf call, rhr from one cdf call, ai from those, and
+        mrl by one quadrature per point; flags in row order, then column order."""
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1:
             raise DomainError("grid must be one-dimensional")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] < 0):
             raise DomainError("grid must be strictly increasing and nonnegative")
-        cols = {name: np.full(grid.shape, np.nan) for name in CURVE_COLUMNS}
-        flags: list[tuple[int, str, str]] = []
-        calls = {"sf": system.sf, "hr": system.hazard, "rhr": system.reversed_hazard,
-                 "mrl": system.mrl, "ai": system.ai}
+        hr, hr_reason, sf = system._rate(grid, None, "sf")
+        rhr, rhr_reason, _ = system._rate(grid, None, "cdf")
+        ai, ai_reason = _aging_intensity(grid, hr, hr_reason, sf)
+        mrl = np.full(grid.shape, np.nan)
+        mrl_reason = np.full(grid.shape, "", dtype=object)
         for i, t in enumerate(grid):
-            for name in CURVE_COLUMNS:
-                try:
-                    cols[name][i] = calls[name](float(t))
-                except CopreliError as exc:
-                    flags.append((i, name, str(exc)))
-        return ReliabilityCurve(grid=grid, flags=tuple(flags), **cols)
+            try:
+                mrl[i] = system.mrl(float(t))
+            except CopreliError as exc:
+                mrl_reason[i] = str(exc)
+        # a column per entry of CURVE_COLUMNS; sf is always defined
+        reasons = np.stack([np.full(grid.shape, ""), hr_reason, rhr_reason, mrl_reason,
+                            ai_reason], axis=-1)
+        flags = tuple((int(i), CURVE_COLUMNS[j], str(reasons[i, j]))
+                      for i, j in zip(*np.nonzero(reasons != "")))
+        return ReliabilityCurve(grid=grid, sf=sf, hr=hr, rhr=rhr, mrl=mrl, ai=ai, flags=flags)
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("t,sf,hr,rhr,mrl,ai\n")
-        for i in range(self.grid.size):
-            row = [self.grid[i], self.sf[i], self.hr[i], self.rhr[i], self.mrl[i], self.ai[i]]
+        out.write(",".join(("t",) + CURVE_COLUMNS) + "\n")
+        for row in zip(self.grid, *(getattr(self, name) for name in CURVE_COLUMNS)):
             out.write(",".join(repr(float(x)) for x in row) + "\n")
         return out.getvalue()
 
     def to_json(self) -> str:
-        def col(values):
-            return [None if math.isnan(v) else float(v) for v in values]
-
-        record = {
+        return json.dumps({
             "t": [float(x) for x in self.grid],
-            "sf": col(self.sf),
-            "hr": col(self.hr),
-            "rhr": col(self.rhr),
-            "mrl": col(self.mrl),
-            "ai": col(self.ai),
+            **{name: [None if np.isnan(v) else float(v) for v in getattr(self, name)]
+               for name in CURVE_COLUMNS},
             "flags": [{"row": i, "column": c, "reason": r} for i, c, r in self.flags],
-        }
-        return json.dumps(record, indent=2)
+        }, indent=2)

@@ -52,6 +52,16 @@ def test_eval_rejects_invalid_parameter_naming_interval(capsys):
     assert "[-1.0, 1.0]" in err
 
 
+def test_eval_rejects_a_dim_that_contradicts_the_vector(capsys):
+    code, _, err = run(
+        capsys, "eval", "--copula", "marshall_olkin:alpha1=1,alpha2=2,dim=3",
+        "--marginal", "exp:1", "--marginal", "exp:1", "--marginal", "exp:1",
+        "--structure", "series", "--mode", "dependent",
+    )
+    assert code == EXIT_CONFIG
+    assert "alpha has 2 entries for dimension 3" in err
+
+
 def test_eval_rejects_empty_grid(capsys):
     code, _, err = run(
         capsys, "eval", "--marginal", "exp:1", "--grid-count", "0",

@@ -445,6 +445,28 @@ def test_parse_copula_error_messages(bad, message, token):
     assert err.value.token == token
 
 
+def test_vector_families_infer_dim_only_when_it_is_not_given():
+    assert MarshallOlkin(alpha=(1.0, 2.0, 3.0)).dim == 3
+    assert MarshallOlkin(alpha=(1.0, 2.0, 3.0)).spec_string() == \
+        "marshall_olkin:alpha1=1.0,alpha2=2.0,alpha3=3.0,dim=3"
+    assert RluExtended(a=(2.0,) * 3, b=(3.0,) * 3, alpha=0.5).dim == 3
+    assert MarshallOlkin(alpha=(1.0, 2.0), dim=2).dim == 2
+    for build, message in [
+        (lambda: MarshallOlkin(alpha=(1.0, 2.0), dim=3), "alpha has 2 entries for dimension 3"),
+        (lambda: parse_copula("marshall_olkin:alpha1=1,alpha2=2,dim=3"),
+         "alpha has 2 entries for dimension 3"),
+        (lambda: MarshallOlkin(alpha=(1.0, 2.0, 3.0), dim=2),
+         "alpha has 3 entries for dimension 2"),
+        (lambda: RluExtended(a=(2.0, 2.0), b=(3.0, 3.0), alpha=0.5, dim=3),
+         "a has 2 entries for dimension 3; b has 2 entries for dimension 3"),
+        (lambda: parse_copula("rlu_extended:a1=2,a2=2,b1=3,b2=3,alpha=0.5,dim=3"),
+         "a has 2 entries for dimension 3; b has 2 entries for dimension 3"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            build()
+        assert str(err.value).endswith(f" parameters: {message}")
+
+
 def test_all_families_have_samplers():
     from copreli import FAMILIES
 

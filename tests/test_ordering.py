@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_CASES, random_instance, random_marginals
+from conftest import FAMILY_CASES, random_instance, random_marginals, wide_grid
 from copreli import (
     Amh,
     Clayton,
@@ -15,6 +15,7 @@ from copreli import (
     FischerKock,
     GumbelHougaard,
     Independence,
+    LinearSpearman,
     MarshallOlkin,
     NelsenTen,
     RluExtended,
@@ -30,6 +31,7 @@ from copreli import (
     ratio_profile,
     verify_theorem1,
 )
+from copreli.numerics import central_derivative
 
 E1 = Exponential(1.0)
 MARGINALS = (E1, E1)
@@ -62,6 +64,32 @@ def test_ratio_function_validation():
         ratio_function(Fgm(alpha=0.5), MARGINALS, "C1_over_C")
     with pytest.raises(DomainError):
         ratio_function(Fgm(alpha=0.5, dim=3), MARGINALS, "C_over_C1")
+
+
+def copula_ratio(copula, marginals, kind, t):
+    """The ratio of ``kind`` straight from the copula at the marginals' values."""
+    u = np.stack([m.cdf(t) for m in marginals], axis=-1)
+    uhat = np.stack([m.sf(t) for m in marginals], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "C_over_C1":
+            return copula.value(u) / np.prod(u, axis=-1)
+        if kind == "Chat_over_Chat1":
+            return copula.value(uhat) / np.prod(uhat, axis=-1)
+        return np.divide(copula.value(u), copula.value(uhat))
+
+
+@pytest.mark.parametrize("family,dim", FAMILY_CASES)
+def test_ratio_function_equals_the_copula_formulas(family, dim):
+    rng = np.random.default_rng(5)
+    marginals = random_marginals(rng, dim)
+    copula = random_instance(family, rng, dim)
+    grid = wide_grid(marginals)  # t = 0 gives 0/0 and the tail 0/0 or x/0
+    for kind in ("C_over_C1", "Chat_over_Chat1", "C_over_Chat"):
+        fn = ratio_function(copula, marginals, kind)
+        np.testing.assert_array_equal(fn(grid), copula_ratio(copula, marginals, kind, grid),
+                                      err_msg=kind)
+        t = float(grid[5])
+        assert fn(t) == float(copula_ratio(copula, marginals, kind, np.asarray(t))), kind
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +331,37 @@ def test_theorem1_worst_point_matches_a_loop(case, seed):
     assert result.worst_slack == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
+def copula_theorem1(copula, marginals, grid):
+    """(worst slack, t, inequality) with the four survival functions written
+    out from the copula and the marginals."""
+    t = np.asarray(grid, dtype=float)
+    u = np.stack([m.cdf(t) for m in marginals], axis=-1)
+    uhat = np.stack([m.sf(t) for m in marginals], axis=-1)
+    sf_pi, sf_si = 1.0 - np.prod(u, axis=-1), np.prod(uhat, axis=-1)
+    sf_pd, sf_sd = 1.0 - copula.value(u), copula.value(uhat)
+    slack = np.stack([sf_pi - sf_si, sf_pi - sf_sd, sf_pd - sf_si, sf_pd - sf_sd], axis=-1)
+    slack = np.where(np.isnan(slack), np.inf, slack).ravel()
+    at = int(np.argmin(slack))
+    names = ("P_I >= S_I", "P_I >= S_D", "P_D >= S_I", "P_D >= S_D")
+    return float(slack[at]), float(t[at // 4]), names[at % 4]
+
+
+@pytest.mark.parametrize("family,dim", FAMILY_CASES)
+def test_theorem1_equals_the_copula_formulas(family, dim):
+    rng = np.random.default_rng(9)
+    marginals = random_marginals(rng, dim)
+    copula = random_instance(family, rng, dim)
+    for grid in (default_grid(marginals), wide_grid(marginals)):
+        result = verify_theorem1(copula, marginals, grid)
+        assert (result.worst_slack, result.worst_t, result.worst_inequality) == \
+            copula_theorem1(copula, marginals, grid)
+
+
+def test_theorem1_rejects_a_copula_of_another_dimension():
+    with pytest.raises(DomainError, match="copula dimension 3 != marginal count 2"):
+        verify_theorem1(Fgm(alpha=0.5, dim=3), MARGINALS)
+
+
 def test_theorem1_ties_go_to_the_first_inequality():
     # under independence the four slacks are equal at every t, 2 F (1 - F)
     # for two Exp(1) components, smallest here at t = 7
@@ -399,6 +458,25 @@ def test_lr_check_identical_marginals_closed_form():
             cdf = np.array([m.cdf(float(t)) for t in res.grid])
             np.testing.assert_allclose(res.ratio, (1.0 - theta) + theta / (2.0 * cdf),
                                        rtol=1e-6, err_msg=f"{m}, theta={theta}")
+
+
+@pytest.mark.parametrize("marginals", [
+    MARGINALS, (Exponential(1.0), Exponential(2.0)), (Weibull(1.0, 2.0), Weibull(1.0, 2.0)),
+    (Exponential(0.7), Weibull(1.3, 0.9)),
+], ids=["exp-exp", "exp-exp2", "weibull-weibull", "exp-weibull"])
+def test_lr_ratio_equals_the_copula_formulas(marginals):
+    grid = default_grid(marginals)
+    for theta in (0.0, 0.3, 1.0):
+        cop = LinearSpearman(theta=theta)
+
+        def cdf_dep(t):
+            return cop.value(np.stack([marginals[0].cdf(t), marginals[1].cdf(t)], axis=-1))
+
+        def cdf_ind(t):
+            return marginals[0].cdf(t) * marginals[1].cdf(t)
+
+        ratio = central_derivative(cdf_dep, grid) / central_derivative(cdf_ind, grid)
+        np.testing.assert_array_equal(check_lr_linear_spearman(theta, marginals).ratio, ratio)
 
 
 def test_lr_check_preconditions():

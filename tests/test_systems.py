@@ -24,6 +24,7 @@ from copreli import (
     LinearSpearman,
     SingularityError,
     Clayton,
+    CopreliError,
     System,
     Weibull,
     parse_copula,
@@ -31,7 +32,7 @@ from copreli import (
     ratio_function,
 )
 from copreli.numerics import central_derivative
-from copreli.systems import _integrate
+from copreli.systems import CURVE_COLUMNS, _integrate
 
 E1 = Exponential(1.0)
 E2 = Exponential(2.0)
@@ -422,3 +423,93 @@ def test_curve_invariants_for_dependent_system():
             assert np.all(curve.mrl[defined] >= 0.0)
             defined = ~np.isnan(curve.ai)
             assert np.all(curve.ai[defined] >= -1e-8)
+
+
+def one_point_ai(system, t):
+    """Aging intensity of one t, computed as before ``System.ai`` took arrays."""
+    if t <= 0:
+        raise DomainError("aging intensity needs t > 0")
+    sft = system.sf(t)
+    if not (1e-12 < sft < 1.0 - 1e-15):
+        raise SingularityError("aging intensity undefined where sf is 0 or 1", t=t)
+    return t * system.hazard(t) / (-math.log(sft))
+
+
+def one_point_curve(system, grid):
+    """Columns and flags of a loop over t, then over the columns, one call a cell."""
+    calls = {"sf": system.sf, "hr": system.hazard, "rhr": system.reversed_hazard,
+             "mrl": system.mrl, "ai": lambda t: one_point_ai(system, t)}
+    cols = {name: np.full(grid.shape, np.nan) for name in CURVE_COLUMNS}
+    flags = []
+    for i, t in enumerate(grid):
+        for name in CURVE_COLUMNS:
+            try:
+                cols[name][i] = calls[name](float(t))
+            except CopreliError as exc:
+                flags.append((i, name, str(exc)))
+    return cols, flags
+
+
+def curve_cases():
+    """One system of every sampled family and dimension in each structure and
+    mode, over a wide grid that starts at t = 0 and ends where sf underflowed."""
+    rng = np.random.default_rng(2024)
+    for family, dim in FAMILY_CASES:
+        marginals = random_marginals(rng, dim)
+        copula = random_instance(family, rng, dim)
+        for structure in ("series", "parallel"):
+            for mode in ("dependent", "independent"):
+                yield (f"{family}-{dim}-{structure}-{mode}",
+                       System(marginals, structure, mode, copula), wide_grid(marginals))
+
+
+CURVE_CASES = list(curve_cases())
+
+
+@pytest.mark.parametrize("system,grid", [case[1:] for case in CURVE_CASES],
+                         ids=[case[0] for case in CURVE_CASES])
+def test_curve_matches_a_one_point_loop(system, grid):
+    curve = system.curve(grid)
+    cols, flags = one_point_curve(system, grid)
+    assert list(curve.flags) == flags  # same rows, columns, order and text
+    for name in ("hr", "rhr", "mrl"):
+        np.testing.assert_array_equal(getattr(curve, name), cols[name], err_msg=name)
+    # sf and ai are the array calls' values, which may differ from one-point
+    # calls by a few ulps of 1 in sf (see test_array_times_match_scalar_calls);
+    # ai inherits that through -ln sf
+    defined = ~np.isnan(curve.ai)
+    np.testing.assert_array_equal(curve.sf, system.sf(grid))
+    np.testing.assert_array_equal(curve.ai[defined], system.ai(grid[defined]))
+    np.testing.assert_array_equal(np.isnan(cols["ai"]), ~defined)
+    ulps = 4.0 * np.finfo(float).eps
+    np.testing.assert_allclose(curve.sf, cols["sf"], rtol=1e-13, atol=ulps)
+    sf, ai = cols["sf"][defined], cols["ai"][defined]
+    bound = np.abs(ai) * (1e-13 + ulps / (sf * -np.log(sf)))
+    assert np.all(np.abs(curve.ai[defined] - ai) <= bound)
+    cells = {(i, c) for i, c, _ in flags}
+    assert {(0, "rhr"), (0, "ai")} <= cells  # t = 0
+    if curve.sf[-1] <= 1e-12:  # the underflowed tail (a defective family's sf stays up)
+        assert (grid.size - 1, "hr") in cells
+
+
+@pytest.mark.parametrize("system,grid", [case[1:] for case in CURVE_CASES[::7]],
+                         ids=[case[0] for case in CURVE_CASES[::7]])
+def test_array_ai_matches_one_point_calls(system, grid):
+    t = grid[1:]
+    expected, first = np.full(t.shape, np.nan), None
+    for i, x in enumerate(t):
+        try:
+            expected[i] = system.ai(float(x))
+        except SingularityError as exc:
+            first = first or exc
+    defined = ~np.isnan(expected)
+    np.testing.assert_array_equal(system.ai(t[defined]), expected[defined])
+    assert type(system.ai(float(t[defined][0]))) is float
+    if first is not None:
+        # the array call raises at the first undefined point, as a loop would
+        with pytest.raises(SingularityError) as raised:
+            system.ai(t)
+        assert (str(raised.value), raised.value.t) == (str(first), first.t)
+    for bad in (0.0, grid):
+        with pytest.raises(DomainError, match="aging intensity needs t > 0"):
+            system.ai(bad)
