@@ -20,8 +20,8 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
-from .numerics import Stencil, defined_or_raise
-from .systems import _SF_FLOOR, System, log_rate
+from .numerics import Stencil, defined_or_raise, scalar_or_array
+from .systems import _SF_FLOOR, System, _raise_first, log_rate
 
 __all__ = [
     "SystemPair",
@@ -107,25 +107,30 @@ class SystemPair:
         """Reversed-hazard error: +d/dt ln( cdf_dep / cdf_ind ), at a number or an array."""
         return defined_or_raise(t, *self._log_rates(t, h, "cdf")[0])
 
-    def mrl_error(self, t: float) -> tuple[float, float]:
-        dep = self.dependent.mrl(t)
-        ind = self.independent.mrl(t)
-        raw = dep - ind
-        return raw, raw / ind
+    def mrl_error(self, t):
+        """(raw, relative) mean-residual-life error at t, a number or an array;
+        raises the first error in t order, the dependent system's first."""
+        raw, rel, errors = self._mrl_errors(t)
+        _raise_first(errors)
+        return tuple(scalar_or_array(x.reshape(np.shape(t))) for x in (raw, rel))
 
     def error_report(self, grid, measure: str = "sf") -> "ErrorReport":
         """Evaluate one error measure over a grid, with per-point OA/UA verdicts.
 
-        sf, hr and rhr are evaluated on the whole grid at once, mrl point by
-        point.  A row whose error is undefined is NaN and flagged with the
-        reason; a hazard-type row whose independent rate is undefined keeps
-        its raw error, with the relative error NaN and the row flagged.
+        Each measure is evaluated on the whole grid at once, mrl by one
+        batched quadrature per system.  A row whose error is undefined is NaN
+        and flagged with the reason; a hazard-type row whose independent rate
+        is undefined keeps its raw error, with the relative error NaN and the
+        row flagged.  An mrl error other than a SingularityError is raised at
+        the first t where it occurs, the dependent system's first.
         """
         if measure not in MEASURES:
             raise DomainError(f"measure must be one of {MEASURES}, got {measure!r}")
         grid = np.asarray(grid, dtype=float)
         if measure == "mrl":
-            raw, rel, reason = self._mrl_errors(grid)
+            raw, rel, errors = self._mrl_errors(grid)
+            _raise_first([e for e in errors if not isinstance(e, SingularityError)])
+            reason = np.array([str(e or "") for e in errors], dtype=object)
         elif measure == "sf":
             raw, rel, reason = self._sf_errors(grid)
         else:
@@ -138,17 +143,16 @@ class SystemPair:
         return ErrorReport(grid=grid, raw=raw, relative=rel, measure=measure,
                            structure=self.structure, flags=flags)
 
-    def _mrl_errors(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(raw, relative, reason) mean-residual-life errors, one quadrature per t."""
-        raw = np.full(grid.shape, np.nan)
-        rel = np.full(grid.shape, np.nan)
-        reason = np.full(grid.shape, "", dtype=object)
-        for i, t in enumerate(grid):
-            try:
-                raw[i], rel[i] = self.mrl_error(float(t))
-            except SingularityError as exc:
-                reason[i] = str(exc)
-        return raw, rel, reason
+    def _mrl_errors(self, t) -> tuple[np.ndarray, np.ndarray, list]:
+        """(raw, relative, error) mean-residual-life errors at each t, from one
+        batched quadrature per system; the error (None where defined) is the
+        dependent system's at that t, else the independent one's."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        (dep, dep_errors), (ind, ind_errors) = self.dependent._mrl(t), self.independent._mrl(t)
+        errors = [d or i for d, i in zip(dep_errors, ind_errors)]
+        raw = np.where([e is None for e in errors], dep - ind, np.nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return raw, raw / ind, errors
 
 
 def _verdict(raw: float) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copulas import Copula
-from .exceptions import CopreliError, DomainError, IntegrationError, SingularityError
+from .exceptions import DomainError, IntegrationError, SingularityError
 from .marginals import Marginal
 from .numerics import Stencil, defined_or_raise, scalar_or_array
 
@@ -57,40 +57,61 @@ _RTOL = 1e-8
 _ATOL = 1e-14
 
 
-def _integrate(f, a: float, b: float) -> float:
-    """Integral over [a, b] of ``f``, which maps an array of points to an array.
+def _sums(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Sum of ``values`` per owner, for owners in sorted runs; 0 where none."""
+    out = np.zeros(n)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    out[owner[starts]] = np.add.reduceat(values, starts)
+    return out
 
-    Adaptive bisection: each round evaluates every open panel's nodes in one
-    call of ``f``.  A panel is settled once both lower-order rules agree with
-    its 21-point value to within its share, by width, of
-    max(_ATOL, _RTOL * |integral|); the others are halved.
-    Raises IntegrationError when the partition would exceed _MAX_PANELS panels.
+
+def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over [a[i], b[i]] of ``f``, which maps an array of points to an
+    array, and the mask of those that failed (NaN).
+
+    Adaptive bisection: each round evaluates every open panel of every integral
+    in one call of ``f``.  A panel is settled once both lower-order rules agree
+    with its 21-point value to within its share, by width, of
+    max(_ATOL, _RTOL * |integral|); the others are halved.  An integral fails
+    when its partition would exceed _MAX_PANELS panels.  Each integral's panels
+    stay in the order a lone call keeps them and every sum is per panel or per
+    integral, so each value is the one the integral gets alone.
     """
-    edges = np.linspace(a, b, _START_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
-    panels = lo.size
-    settled = 0.0
-    while True:
+    edges = np.linspace(a, b, _START_PANELS + 1, axis=-1)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    owner = np.repeat(np.arange(a.size), _START_PANELS)
+    panels = np.full(a.size, _START_PANELS)
+    settled = np.zeros(a.size)
+    failed = np.zeros(a.size, dtype=bool)
+    while lo.size:
         half = 0.5 * (hi - lo)
         x = (lo + half)[:, None] + half[:, None] * _NODES
         values = f(x.ravel()).reshape(x.shape)
-        best = half * (values[:, :21] @ _GAUSS21[1])
-        gauss10 = half * (values[:, 21:31] @ _GAUSS10[1])
-        lobatto12 = half * (values[:, 31:] @ _LOBATTO12[1])
+        # row sums, not BLAS products, whose rounding depends on the row count
+        best = half * (values[:, :21] * _GAUSS21[1]).sum(axis=1)
+        gauss10 = half * (values[:, 21:31] * _GAUSS10[1]).sum(axis=1)
+        lobatto12 = half * (values[:, 31:] * _LOBATTO12[1]).sum(axis=1)
         error = np.maximum(np.abs(best - gauss10), np.abs(best - lobatto12))
-        tol = max(_ATOL, _RTOL * abs(settled + best.sum()))
-        done = error <= tol * (hi - lo) / (b - a)
-        settled += best[done].sum()
-        if done.all():
-            return float(settled)
-        lo, hi = lo[~done], hi[~done]
-        panels += lo.size
-        if panels > _MAX_PANELS:
-            raise IntegrationError(
-                f"quadrature on ({a}, {b}) did not converge within {_MAX_PANELS} panels"
-            )
+        tol = np.maximum(_ATOL, _RTOL * np.abs(settled + _sums(best, owner, a.size)))
+        done = error <= tol[owner] * (hi - lo) / (b - a)[owner]
+        settled += _sums(best[done], owner[done], a.size)
+        panels += np.bincount(owner[~done], minlength=a.size)
+        failed |= panels > _MAX_PANELS
+        keep = ~done & ~failed[owner]
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
         mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        # each integral's left halves, then its right halves, as a lone call orders them
+        order = np.argsort(np.concatenate([owner, owner]), kind="stable")
+        lo, hi = np.concatenate([lo, mid])[order], np.concatenate([mid, hi])[order]
+        owner = np.concatenate([owner, owner])[order]
+    return np.where(failed, np.nan, settled), failed
+
+
+def _raise_first(errors: list) -> None:
+    """Raise the first of ``errors`` that is not None."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def log_rate(stencil: Stencil, at: np.ndarray, sides: np.ndarray,
@@ -200,30 +221,50 @@ class System:
         """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
         return defined_or_raise(t, *self._rate(t, h, "cdf")[:2])
 
-    def mrl(self, t: float) -> float:
+    def _mrl(self, t: np.ndarray) -> tuple[np.ndarray, list]:
+        """Mean residual life at each t of a one-dimensional array and each
+        point's error (None where it is defined), from one sf call at t, one at
+        the truncation candidates of the points above _SF_FLOOR and one
+        batched quadrature."""
+        sft = self.sf(t)
+        errors = [SingularityError("survival function vanished", t=x) if s <= _SF_FLOOR
+                  else None for x, s in zip(t.tolist(), sft.tolist())]
+        live = np.flatnonzero(~(sft <= _SF_FLOOR))
+        start, sft = t[live], sft[live]
+        scale = max(m.mean() for m in self.marginals)
+        cap = start + 50.0 * scale
+        uppers = [start + scale]
+        # far out, t + s == t: a t whose candidates stall there is refused below
+        while np.any((uppers[-1] < cap) & (uppers[-1] > start)):
+            uppers.append(np.minimum(cap, start + 2.0 * (uppers[-1] - start)))
+        uppers = np.stack(uppers, axis=-1)
+        values = self.sf(uppers.ravel()).reshape(uppers.shape)
+        k = np.argmax((uppers >= cap[:, None]) | ~(values > 1e-12 * sft[:, None]), axis=1)
+        upper, values = (x[np.arange(k.size), k] for x in (uppers, values))
+        decays = ~(values > 1e-6 * sft)
+        integral, failed = _integrate(self.sf, start[decays], upper[decays])
+        mrl = np.full(t.shape, np.nan)
+        mrl[live[decays]] = integral / sft[decays]
+        for i in np.flatnonzero(~decays):
+            errors[live[i]] = IntegrationError(f"survival function is not decaying on "
+                                               f"({start[i]}, {upper[i]}); refusing to truncate")
+        for i in np.flatnonzero(decays)[failed]:
+            errors[live[i]] = IntegrationError(f"quadrature on ({start[i]}, {upper[i]}) did "
+                                               f"not converge within {_MAX_PANELS} panels")
+        return mrl, errors
+
+    def mrl(self, t):
         """Mean residual life: integral of sf over (t, inf) divided by sf(t).
 
-        The integral is truncated at the first of t + s, t + 2s, t + 4s, ...
-        (s the largest component mean, capped at t + 50s) where sf has fallen
-        to 1e-12 of sf(t); all candidates are evaluated in one sf call.
+        ``t`` is a number or a one-dimensional array; raises the error of the
+        first t where it is undefined.  The integral is truncated at the first
+        of t + s, t + 2s, t + 4s, ... (s the largest component mean, capped at
+        t + 50s) where sf has fallen to 1e-12 of sf(t).  The candidates of all
+        t are evaluated in one sf call, and the integrals in one quadrature.
         """
-        sft = self.sf(t)
-        if sft <= _SF_FLOOR:
-            raise SingularityError("survival function vanished", t=t)
-        scale = max(m.mean() for m in self.marginals)
-        cap = t + 50.0 * scale
-        uppers = [t + scale]
-        while uppers[-1] < cap:
-            uppers.append(min(cap, t + 2.0 * (uppers[-1] - t)))
-        uppers = np.array(uppers)
-        values = self.sf(uppers)
-        k = int(np.argmax((uppers >= cap) | ~(values > 1e-12 * sft)))
-        upper = float(uppers[k])
-        if values[k] > 1e-6 * sft:
-            raise IntegrationError(
-                f"survival function is not decaying on ({t}, {upper}); refusing to truncate"
-            )
-        return _integrate(self.sf, t, upper) / sft
+        values, errors = self._mrl(np.atleast_1d(np.asarray(t, dtype=float)))
+        _raise_first(errors)
+        return scalar_or_array(values.reshape(np.shape(t)))
 
     def ai(self, t):
         """Aging intensity t hr(t) / -ln sf(t) at a number or a one-dimensional
@@ -256,7 +297,7 @@ class ReliabilityCurve:
     @staticmethod
     def build(system: System, grid) -> "ReliabilityCurve":
         """sf and hr from one sf call, rhr from one cdf call, ai from those, and
-        mrl by one quadrature per point; flags in row order, then column order."""
+        mrl from one batched quadrature; flags in row order, then column order."""
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1:
             raise DomainError("grid must be one-dimensional")
@@ -265,13 +306,8 @@ class ReliabilityCurve:
         hr, hr_reason, sf = system._rate(grid, None, "sf")
         rhr, rhr_reason, _ = system._rate(grid, None, "cdf")
         ai, ai_reason = _aging_intensity(grid, hr, hr_reason, sf)
-        mrl = np.full(grid.shape, np.nan)
-        mrl_reason = np.full(grid.shape, "", dtype=object)
-        for i, t in enumerate(grid):
-            try:
-                mrl[i] = system.mrl(float(t))
-            except CopreliError as exc:
-                mrl_reason[i] = str(exc)
+        mrl, errors = system._mrl(grid)
+        mrl_reason = np.array([str(e or "") for e in errors], dtype=object)
         # a column per entry of CURVE_COLUMNS; sf is always defined
         reasons = np.stack([np.full(grid.shape, ""), hr_reason, rhr_reason, mrl_reason,
                             ai_reason], axis=-1)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from copreli import (
@@ -84,3 +87,18 @@ def wide_grid(marginals, points: int = 15) -> np.ndarray:
     support-edge singularities show at both ends."""
     hi = 3.0 * max(m.quantile(1.0 - 1e-9) for m in marginals)
     return np.concatenate([[0.0], np.geomspace(1e-4, hi, points)])
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError instead of hanging when the block runs too long."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

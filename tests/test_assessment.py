@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_CASES, random_instance, random_marginals, wide_grid
+from conftest import FAMILY_CASES, deadline, random_instance, random_marginals, wide_grid
 from copreli import (
     Clayton,
+    CopreliError,
     DomainError,
     ErrorReport,
     Exponential,
     Fgm,
     GumbelBarnet,
     Independence,
+    IntegrationError,
     MarshallOlkin,
     SingularityError,
     SystemPair,
     Weibull,
     classify_assessment,
+    parse_copula,
 )
 
 E1 = Exponential(1.0)
+E2 = Exponential(2.0)
 LN2 = math.log(2.0)
 
 
@@ -282,3 +286,99 @@ def test_series_hr_where_the_independent_sf_underflows():
     assert not np.isnan(rep.raw[:19]).any()
     with pytest.raises(SingularityError, match="vanishes inside the stencil"):
         p.hr_error(grid[-1])
+
+
+# ---------------------------------------------------------------------------
+# batched mean residual life against the loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def looped_mrl_report(p, grid):
+    """(raw, relative, flags) of the one-t-at-a-time loop: at each t the
+    dependent system first, a SingularityError flags the row, any other
+    error propagates."""
+    raw = np.full(grid.shape, np.nan)
+    rel = np.full(grid.shape, np.nan)
+    flags = []
+    for i, t in enumerate(grid):
+        try:
+            dep = p.dependent.mrl(float(t))
+            ind = p.independent.mrl(float(t))
+        except SingularityError as exc:
+            flags.append((i, str(exc)))
+            continue
+        raw[i] = dep - ind
+        rel[i] = raw[i] / ind
+    return raw, rel, tuple(flags)
+
+
+def outcome(call):
+    try:
+        return call()
+    except CopreliError as exc:
+        return exc
+
+
+def assert_mrl_report_matches_the_loop(p, grid):
+    expected = outcome(lambda: looped_mrl_report(p, grid))
+    report = outcome(lambda: p.error_report(grid, measure="mrl"))
+    if isinstance(expected, CopreliError):
+        assert type(report) is type(expected)
+        assert str(report) == str(expected)
+        return
+    raw, rel, flags = expected
+    assert report.flags == flags
+    np.testing.assert_array_equal(report.raw, raw)
+    np.testing.assert_array_equal(report.relative, rel)
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(("series", "parallel")))
+@settings(max_examples=40, deadline=None)
+def test_mrl_report_matches_the_loop(case, seed, structure):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    p = SystemPair(copula=random_instance(family, rng, dim), marginals=marginals,
+                   structure=structure)
+    assert_mrl_report_matches_the_loop(p, wide_grid(marginals))
+
+
+FISCHER_HINZMANN = parse_copula("fischer_hinzmann:m=2.0,alpha=0.5")
+
+
+@pytest.mark.parametrize("copula,structure,grid", [
+    # vanished rows, also before defined ones
+    (Fgm(alpha=0.5), "series", [0.5, 45.0, 60.0]),
+    (FISCHER_HINZMANN, "series", [60.0, 0.1, 0.5]),
+    # the literal form's parallel survival levels off near 0.29: refused
+    (FISCHER_HINZMANN, "parallel", [0.5, 1.0]),
+    # at t = 60 the dependent refusal comes before the independent vanishing
+    (FISCHER_HINZMANN, "parallel", [60.0]),
+])
+def test_mrl_report_matches_the_loop_on_refusals_and_vanished_rows(copula, structure, grid):
+    assert_mrl_report_matches_the_loop(pair(copula, structure, (E1, E2)), np.array(grid))
+
+
+def test_mrl_error_follows_the_scalar_rule_and_the_loop_order():
+    p = pair(Fgm(alpha=0.5), "series", (E1, E2))
+    raw, rel = p.mrl_error(0.5)
+    assert type(raw) is float and type(rel) is float
+    raws, rels = p.mrl_error(np.array([0.1, 0.5]))
+    assert raws.shape == rels.shape == (2,)
+    assert (raws[1], rels[1]) == (raw, rel)
+    with pytest.raises(SingularityError, match="survival function vanished") as info:
+        p.mrl_error(np.array([0.5, 45.0, 60.0]))
+    assert info.value.t == 45.0
+    fh = pair(FISCHER_HINZMANN, "parallel", (E1, E2))
+    with pytest.raises(IntegrationError, match=r"not decaying on \(60.0, 110.0\)"):
+        fh.mrl_error(np.array([60.0, 0.5]))
+
+
+def test_mrl_report_on_a_far_tail_point_finishes():
+    # at t = 2**53, t + s == t, so doubling s from there never reaches the cap
+    with deadline(20):
+        rep = pair(Fgm(alpha=0.5), "series", (E1, E2)).error_report(
+            np.array([0.5, 2.0**53]), measure="mrl")
+    assert rep.flags == ((1, "survival function vanished"),)
+    assert not np.isnan(rep.raw[0])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import copreli.systems
 from conftest import (
     FAMILY_CASES,
+    deadline,
     families_for_dim,
     random_instance,
     random_marginals,
@@ -248,10 +249,108 @@ def test_mrl_truncation_matches_the_doubling_search(monkeypatch):
 
 
 def test_quadrature_panel_budget():
-    assert _integrate(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+    values, failed = _integrate(np.exp, np.zeros(1), np.ones(1))
+    assert values[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert not failed[0]
     # about 1600 periods need far more than the 200-panel budget
-    with pytest.raises(IntegrationError):
-        _integrate(lambda x: np.sin(1e4 * x), 0.0, 1.0)
+    values, failed = _integrate(lambda x: np.sin(1e4 * x), np.zeros(1), np.ones(1))
+    assert failed[0]
+    assert np.isnan(values[0])
+
+
+def _piecewise(x):
+    """Smooth below 10, about 1600 periods per unit above: an integral that
+    reaches past 10 runs out of panels."""
+    return np.where(x < 10.0, np.exp(-x) * np.cos(3.0 * x), np.sin(1e4 * x))
+
+
+def assert_each_integral_as_alone(a, b, values, failed):
+    """Each integral of a batch is bit for bit its lone call's."""
+    for i in range(a.size):
+        alone, alone_failed = _integrate(_piecewise, a[i:i + 1], b[i:i + 1])
+        assert alone_failed[0] == failed[i]
+        np.testing.assert_array_equal(alone, values[i:i + 1])
+
+
+def test_batched_quadrature_fails_only_the_integral_that_runs_out_of_panels():
+    a, b = np.array([0.0, 0.3, 10.0, 2.0]), np.array([1.0, 9.0, 11.0, 2.5])
+    values, failed = _integrate(_piecewise, a, b)
+    np.testing.assert_array_equal(failed, [False, False, True, False])
+    assert np.isnan(values[2])
+    exact = (1.0 - math.exp(-1.0) * (math.cos(3.0) - 3.0 * math.sin(3.0))) / 10.0
+    assert values[0] == pytest.approx(exact, rel=1e-12)
+    assert_each_integral_as_alone(a, b, values, failed)
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(1e-3, 8.0)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batched_quadrature_matches_lone_calls_bit_for_bit(intervals):
+    a = np.array([lo for lo, _ in intervals])
+    b = a + np.array([width for _, width in intervals])
+    assert_each_integral_as_alone(a, b, *_integrate(_piecewise, a, b))
+
+
+def one_point_mrl(system, grid):
+    """mrl at each t before the first that raises, and that error (or None)."""
+    values = []
+    for t in grid:
+        try:
+            values.append(system.mrl(float(t)))
+        except CopreliError as exc:
+            return np.array(values), exc
+    return np.array(values), None
+
+
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
+       structure=st.sampled_from(("series", "parallel")),
+       mode=st.sampled_from(("dependent", "independent")))
+@settings(max_examples=60, deadline=None)
+def test_array_mrl_matches_a_one_point_loop(case, seed, structure, mode):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    system = System(marginals, structure, mode, random_instance(family, rng, dim))
+    grid = wide_grid(marginals)
+    values, first = one_point_mrl(system, grid)
+    np.testing.assert_array_equal(system.mrl(grid[:values.size]), values)
+    if first is None:
+        np.testing.assert_array_equal(system.mrl(grid), values)
+    else:
+        with pytest.raises(CopreliError) as info:
+            system.mrl(grid)
+        assert type(info.value) is type(first)
+        assert str(info.value) == str(first)
+        assert getattr(info.value, "t", None) == getattr(first, "t", None)
+
+
+def test_mrl_takes_a_number_or_an_array():
+    s = make("series", "dependent", Fgm(alpha=0.5), (E1, E2))
+    assert type(s.mrl(0.5)) is float
+    out = s.mrl(np.array([0.5]))
+    assert isinstance(out, np.ndarray) and out.shape == (1,)
+    assert out[0] == s.mrl(0.5)
+    assert s.mrl(np.array([])).shape == (0,)
+    with pytest.raises(SingularityError, match="survival function vanished") as info:
+        s.mrl(np.array([0.5, 60.0, 70.0]))
+    assert info.value.t == 60.0
+
+
+def test_a_far_tail_point_does_not_stall_the_truncation_search():
+    # at t = 2**53, t + s == t, so doubling s from there never reaches the cap
+    grid = np.array([0.5, 2.0**53])
+    with deadline(20):
+        curve = make("series", "dependent", Fgm(alpha=0.5), (E1, E2)).curve(grid)
+        assert curve.flags == ((1, "hr", "survival function vanished"),
+                               (1, "mrl", "survival function vanished"),
+                               (1, "ai", "aging intensity undefined where sf is 0 or 1"))
+        assert not np.isnan(curve.mrl[0])
+        # a survival function that levels off (literal Fischer-Hinzmann) is
+        # still alive there: its stalled search is refused, not looped on
+        cop = parse_copula("fischer_hinzmann:m=2.0,alpha=0.5")
+        curve = make("parallel", "dependent", cop, (E1, E2)).curve(grid)
+    assert [(i, c) for i, c, _ in curve.flags if c == "mrl"] == [(0, "mrl"), (1, "mrl")]
+    assert curve.flags[-1][2] == ("survival function is not decaying on (9007199254740992.0, "
+                                  "9007199254740992.0); refusing to truncate")
 
 
 def test_ai_values():
