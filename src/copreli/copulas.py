@@ -91,6 +91,12 @@ class Copula:
         raise NotImplementedError
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
+        """C at checked points of shape (..., dim).  Must also accept complex
+        points and stay complex-analytic in the first coordinate away from
+        kinks (numpy expressions only, branching through numpy comparisons,
+        ``min``/``max`` or ``where``; no ``abs``, ``math`` or ``float()``),
+        because ``montecarlo.conditional_cdf`` takes a complex step through
+        it."""
         raise NotImplementedError
 
     def __post_init__(self):

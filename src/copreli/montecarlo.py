@@ -1,9 +1,16 @@
 """Monte Carlo and finite-difference cross-checks for the analytic machinery.
 
 Bivariate copula samples come from the conditional (Rosenblatt) method: draw
-v1 uniform, then solve dC/du1(v1, v2) = p for v2 by bisection.  The partial
-derivative is itself taken numerically, so the sampler shares no formulas
-with the quantities it is used to validate.
+v1 uniform and p uniform, then solve h(v1, v2) = p for v2, where
+h = dC/du1 is the conditional distribution of V2 given V1 = v1.  h is taken
+from the copula kernel alone by a complex step (``numerics.complex_step``),
+with no family formula for h or its inverse, so the sampler stays
+independent of the quantities it is used to validate.  The solve is a
+vectorised Illinois (modified regula falsi) iteration on the bracket [0, 1]
+(Dowell & Jarratt 1971); points it has not settled after 16 rounds,
+such as those whose p falls inside a jump of h at a kink, are finished by
+bisection on the same h.  Where p >= h(v1, 1), which happens only for
+families without uniform margins, v2 is the upper end 1.
 
 Lifetimes are materialised in one of two roles: ``distribution`` treats the
 family as the copula of the joint distribution function (the parallel-system
@@ -25,12 +32,13 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import DomainError, SamplingError, SingularityError
 from .marginals import Marginal
-from .numerics import adaptive_step, richardson_pair
+from .numerics import adaptive_step, complex_step, richardson_pair
 from .assessment import SystemPair
 
 __all__ = [
     "SampleBatch",
     "sample_bivariate",
+    "conditional_cdf",
     "empirical_system_sf",
     "empirical_copula",
     "finite_difference_audit",
@@ -38,8 +46,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-_PARTIAL_STEP = 1e-7
-_BISECT_STEPS = 48  # interval shrinks to 2^-48 ~ 3.6e-15 < 1e-10
+_V2_TOL = 4e-15  # a point is settled once its bracket is this narrow ...
+_H_TOL = 2e-16  # ... or, in an Illinois round, its residual h(v1, v2) - p this small
+_ILLINOIS_ROUNDS = 16  # then bisection; 12 leave smooth points to it, more gain nothing
 
 
 @dataclass(frozen=True)
@@ -60,26 +69,63 @@ class SampleBatch:
         return int(self.v1.size)
 
 
-def _conditional_bisect(copula: Copula, v1: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Solve dC/du1(v1, v2) = p for v2, vectorised bisection on [0, 1]."""
-    d = _PARTIAL_STEP
-    lo1 = np.clip(v1 - d, 0.0, 1.0)
-    hi1 = np.clip(v1 + d, 0.0, 1.0)
-    width = hi1 - lo1
+def conditional_cdf(copula: Copula, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """h(v1, v2) = dC/du1 at (v1, v2), by a complex step through the kernel."""
+    return complex_step(lambda x: copula._raw(np.stack([x, v2], axis=-1)), v1)
 
-    def conditional(v2):
-        pts_hi = np.stack([hi1, v2], axis=-1)
-        pts_lo = np.stack([lo1, v2], axis=-1)
-        return (copula.value(pts_hi) - copula.value(pts_lo)) / width
 
-    lo = np.zeros_like(v1)
-    hi = np.ones_like(v1)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        too_low = conditional(mid) < p
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    v2 = 0.5 * (lo + hi)
+def _settle(v2, done, value, idx, *state):
+    """Write ``value`` at the ``done`` points into v2; return idx and the state
+    arrays of the points still open."""
+    v2[idx[done]] = value[done]
+    open_ = ~done
+    return [x[open_] for x in (idx, *state)]
+
+
+def _conditional_inverse(copula: Copula, v1: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Solve h(v1, v2) = p for v2 on [0, 1], over an active set of points.
+
+    h(v1, 0) = 0 for every grounded copula, so the bracket [0, 1] starts with
+    residuals -p and h(v1, 1) - p, and a point with p >= h(v1, 1) takes the
+    upper end.  Each round evaluates h once at the open points: at the
+    Illinois point for _ILLINOIS_ROUNDS rounds, then at the midpoint, keeping
+    only the bracket, until it is _V2_TOL narrow.  A point where h is NaN
+    settles at NaN.
+    """
+    v2 = np.ones_like(v1)
+    fb = conditional_cdf(copula, v1, v2) - p
+    idx = np.flatnonzero(~(fb <= 0.0))
+    x1, q, fb = v1[idx], p[idx], fb[idx]
+    a, b, fa = np.zeros(idx.size), np.ones(idx.size), -q
+    moved_a = moved_b = np.zeros(idx.size, dtype=bool)
+    for _ in range(_ILLINOIS_ROUNDS):
+        if not idx.size:
+            break
+        c = a + (b - a) * (fa / (fa - fb))
+        fc = conditional_cdf(copula, x1, c) - q
+        left = fc < 0.0
+        # Illinois: an end kept twice running has its residual halved
+        fa = np.where(~left & moved_b, 0.5 * fa, fa)
+        fb = np.where(left & moved_a, 0.5 * fb, fb)
+        a, fa = np.where(left, c, a), np.where(left, fc, fa)
+        b, fb = np.where(left, b, c), np.where(left, fb, fc)
+        moved_a, moved_b = left, ~left
+        hit, nan = np.abs(fc) <= _H_TOL, np.isnan(fc)
+        done = hit | nan | (b - a <= _V2_TOL)
+        if done.any():
+            value = np.where(hit, c, np.where(nan, np.nan, 0.5 * (a + b)))
+            idx, x1, q, a, b, fa, fb, moved_a, moved_b = _settle(
+                v2, done, value, idx, x1, q, a, b, fa, fb, moved_a, moved_b)
+    while idx.size:
+        c = 0.5 * (a + b)
+        fc = conditional_cdf(copula, x1, c)
+        left = fc < q
+        a, b = np.where(left, c, a), np.where(left, b, c)
+        nan = np.isnan(fc)
+        done = nan | (b - a <= _V2_TOL)
+        if done.any():
+            value = np.where(nan, np.nan, 0.5 * (a + b))
+            idx, x1, q, a, b = _settle(v2, done, value, idx, x1, q, a, b)
     if not np.all(np.isfinite(v2)):
         bad = int(np.argmax(~np.isfinite(v2)))
         raise SamplingError("conditional inversion produced a non-finite value",
@@ -112,7 +158,7 @@ def sample_bivariate(copula: Copula, marginals, n_samples: int, seed: int,
         )
         v1 = rng.uniform(1e-9, 1.0 - 1e-9, size=m)
         p = rng.uniform(0.0, 1.0, size=m)
-        v2 = _conditional_bisect(copula, v1, p)
+        v2 = _conditional_inverse(copula, v1, p)
         v1_parts.append(v1)
         v2_parts.append(v2)
     v1 = np.concatenate(v1_parts)

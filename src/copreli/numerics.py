@@ -1,4 +1,4 @@
-"""Shared finite-difference helpers.
+"""Shared derivative helpers: finite differences and the complex step.
 
 All hazard-type quantities in this package are log-derivatives of smooth,
 strictly positive functions, so a central stencil with a step proportional
@@ -8,6 +8,8 @@ The stencil works on whole grids: each function is evaluated once, on both
 sides of every point, and each point carries the reason it is undefined
 (empty where it is defined).  ``scalar_or_array`` is the package's one rule
 for results: one with no axes is returned as a python float.
+``complex_step`` takes exact first derivatives of functions that accept
+complex arguments (the copula kernels).
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ __all__ = [
     "central_log_derivative",
     "central_derivative",
     "richardson_pair",
+    "complex_step",
 ]
 
 _TINY = 1e-12
+_COMPLEX_STEP = 1e-30
 _NOT_INTERIOR = "log-derivative needs an interior point t > 0"
 _VANISHES = "function vanishes inside the stencil"
 
@@ -111,3 +115,15 @@ def richardson_pair(coarse, fine, order: int = 2, ratio: float = 2.0):
     """Combine estimates at step h and h/ratio, cancelling the O(h^order) term."""
     factor = ratio**order
     return (factor * fine - coarse) / (factor - 1.0)
+
+
+def complex_step(f: Callable, x: np.ndarray) -> np.ndarray:
+    """df/dx at real ``x`` as Im f(x + i eps) / eps, with eps = 1e-30.
+
+    ``f`` must accept complex arguments.  No difference of two values is
+    taken, so nothing cancels and the result is exact to rounding wherever f
+    is analytic (Squire & Trapp 1998).  At a kink, numpy orders complex
+    numbers by real part and then by imaginary part, so f takes one branch
+    and the result is that branch's one-sided derivative.
+    """
+    return f(x + 1j * _COMPLEX_STEP).imag / _COMPLEX_STEP

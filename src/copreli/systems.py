@@ -130,7 +130,7 @@ def log_rate(stencil: Stencil, at: np.ndarray, sides: np.ndarray,
 def _aging_intensity(t: np.ndarray, hr: np.ndarray, reason: np.ndarray,
                      sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Aging intensity t hr / -ln sf at each t, with the reason each is undefined,
-    from the hazard, the reason it is undefined, and sf at t (``System._rate``)."""
+    from the hazard, the reason it is undefined, and sf at t (``System._rates``)."""
     reason = np.where((_SF_FLOOR < sf) & (sf < 1.0 - 1e-15), reason,
                       "aging intensity undefined where sf is 0 or 1")
     reason = np.where(t > 0, reason, _AI_NEEDS_POSITIVE_T)
@@ -201,13 +201,23 @@ class System:
             return self._joint(t, "cdf")
         return 1.0 - self.sf(t)
 
-    def _rate(self, t, h, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hazard (``which="sf"``) or reversed hazard (``"cdf"``), the reason each
-        is undefined, and ``which``, at each t, from one call of ``which``."""
+    def _rates(self, t, h, which=("sf", "cdf")):
+        """For each side in ``which``, the hazard (``"sf"``) or reversed hazard
+        (``"cdf"``) at each t with the reason each is undefined, then sf at t;
+        all from one evaluation at t and its stencil points: of the cdf for a
+        parallel system of several components, of the sf otherwise, the other
+        side being one minus it, as ``sf`` and ``cdf`` compute it."""
         stencil = Stencil(t, h)
         n = stencil.t.size
-        values = getattr(self, which)(np.concatenate([stencil.t, stencil.points]))
-        return (*log_rate(stencil, values[:n], values[n:], which), values[:n])
+        pts = np.concatenate([stencil.t, stencil.points])
+        if self.n > 1 and self.structure == "parallel":
+            cdf = self.cdf(pts)
+            sf = 1.0 - cdf
+        else:
+            sf = self.sf(pts)
+            cdf = 1.0 - sf
+        sides = {"sf": sf, "cdf": cdf}
+        return [log_rate(stencil, sides[w][:n], sides[w][n:], w) for w in which], sf[:n]
 
     def hazard(self, t, h=None):
         """-d/dt ln sf(t) by central differences with an adaptive step.
@@ -215,18 +225,21 @@ class System:
         ``t`` is a number or a one-dimensional array; raises SingularityError at
         the first t where the hazard is undefined.
         """
-        return defined_or_raise(t, *self._rate(t, h, "sf")[:2])
+        (rate,), _ = self._rates(t, h, ("sf",))
+        return defined_or_raise(t, *rate)
 
     def reversed_hazard(self, t, h=None):
         """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
-        return defined_or_raise(t, *self._rate(t, h, "cdf")[:2])
+        (rate,), _ = self._rates(t, h, ("cdf",))
+        return defined_or_raise(t, *rate)
 
-    def _mrl(self, t: np.ndarray) -> tuple[np.ndarray, list]:
+    def _mrl(self, t: np.ndarray, sft=None) -> tuple[np.ndarray, list]:
         """Mean residual life at each t of a one-dimensional array and each
-        point's error (None where it is defined), from one sf call at t, one at
-        the truncation candidates of the points above _SF_FLOOR and one
-        batched quadrature."""
-        sft = self.sf(t)
+        point's error (None where it is defined), from sf at t (``sft``, one sf
+        call if not given), one sf call at the truncation candidates of the
+        points above _SF_FLOOR and one batched quadrature."""
+        if sft is None:
+            sft = self.sf(t)
         errors = [SingularityError("survival function vanished", t=x) if s <= _SF_FLOOR
                   else None for x, s in zip(t.tolist(), sft.tolist())]
         live = np.flatnonzero(~(sft <= _SF_FLOOR))
@@ -272,7 +285,8 @@ class System:
         where it is undefined."""
         if np.any(np.asarray(t) <= 0):
             raise DomainError(_AI_NEEDS_POSITIVE_T)
-        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), *self._rate(t, None, "sf")))
+        (rate,), sf = self._rates(t, None, ("sf",))
+        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), *rate, sf))
 
     def curve(self, grid) -> "ReliabilityCurve":
         return ReliabilityCurve.build(self, grid)
@@ -296,17 +310,17 @@ class ReliabilityCurve:
 
     @staticmethod
     def build(system: System, grid) -> "ReliabilityCurve":
-        """sf and hr from one sf call, rhr from one cdf call, ai from those, and
-        mrl from one batched quadrature; flags in row order, then column order."""
+        """sf, hr and rhr from one evaluation at the grid and its stencil, ai
+        from those, and mrl from one batched quadrature; flags in row order,
+        then column order."""
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1:
             raise DomainError("grid must be one-dimensional")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] < 0):
             raise DomainError("grid must be strictly increasing and nonnegative")
-        hr, hr_reason, sf = system._rate(grid, None, "sf")
-        rhr, rhr_reason, _ = system._rate(grid, None, "cdf")
+        ((hr, hr_reason), (rhr, rhr_reason)), sf = system._rates(grid, None)
         ai, ai_reason = _aging_intensity(grid, hr, hr_reason, sf)
-        mrl, errors = system._mrl(grid)
+        mrl, errors = system._mrl(grid, sf)
         mrl_reason = np.array([str(e or "") for e in errors], dtype=object)
         # a column per entry of CURVE_COLUMNS; sf is always defined
         reasons = np.stack([np.full(grid.shape, ""), hr_reason, rhr_reason, mrl_reason,

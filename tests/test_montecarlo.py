@@ -1,7 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import families_for_dim, random_instance
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from copreli import (
     Clayton,
@@ -10,6 +14,9 @@ from copreli import (
     Fgm,
     GumbelBarnet,
     Independence,
+    LinearSpearman,
+    MarshallOlkin,
+    SamplingError,
     SingularityError,
     System,
     empirical_copula,
@@ -17,6 +24,8 @@ from copreli import (
     finite_difference_audit,
     sample_bivariate,
 )
+from copreli.montecarlo import _conditional_inverse, conditional_cdf
+from copreli.numerics import richardson_pair
 
 E1 = Exponential(1.0)
 MARGINALS = (E1, E1)
@@ -193,3 +202,130 @@ def test_sampler_covers_every_proper_family():
             for t in ts:
                 emp, se = empirical_system_sf(batch, structure, float(t))
                 assert abs(emp - system.sf(float(t))) <= 4.0 * se, (family, structure, t)
+
+
+# ---------------------------------------------------------------------------
+# the conditional sampler: complex-step h-function and its inverse
+# ---------------------------------------------------------------------------
+
+SMOOTH_FAMILIES = [f for f in families_for_dim(2)
+                   if f not in ("marshall_olkin", "fischer_hinzmann", "linear_spearman")]
+
+
+def kink_distance(cop, v1: float, v2: float) -> float:
+    """How far (v1, v2) lies from a branch switch of the kernel (inf if none)."""
+    if cop.family == "linear_spearman":
+        return abs(v1 - v2) if cop.theta >= 0 else abs(v1 + v2 - 1.0)
+    if cop.family == "marshall_olkin":
+        return abs(v1 ** cop.alpha[0] - v2 ** cop.alpha[1])
+    if cop.family == "fischer_hinzmann":
+        return abs(v1 - v2)
+    return math.inf
+
+
+@given(family=st.sampled_from(families_for_dim(2)), seed=st.integers(0, 2**32 - 1),
+       v1=st.floats(0.05, 0.95), v2=st.floats(0.05, 0.95))
+@settings(max_examples=200, deadline=None)
+def test_complex_step_h_matches_a_central_difference(family, seed, v1, v2):
+    cop = random_instance(family, np.random.default_rng(seed))
+    assume(kink_distance(cop, v1, v2) >= 1e-3)
+
+    def central(step):
+        pts = np.array([[v1 + step, v2], [v1 - step, v2]])
+        hi, lo = cop._raw(pts)
+        return (hi - lo) / (2.0 * step)
+
+    reference = richardson_pair(central(1e-4), central(5e-5))
+    h = conditional_cdf(cop, np.array([v1]), np.array([v2]))[0]
+    assert h == pytest.approx(reference, rel=1e-8, abs=1e-8)
+
+
+def clayton_h(alpha, v1, v2):
+    return v1 ** (-alpha - 1.0) * (v1**-alpha + v2**-alpha - 1.0) ** (-1.0 / alpha - 1.0)
+
+
+@given(alpha=st.floats(0.2, 6.0), v1=st.floats(1e-6, 1.0 - 1e-6),
+       v2=st.floats(1e-6, 1.0 - 1e-6))
+@settings(max_examples=200, deadline=None)
+def test_clayton_h_matches_its_closed_form(alpha, v1, v2):
+    h = conditional_cdf(Clayton(alpha=alpha), np.array([v1]), np.array([v2]))[0]
+    assert h == pytest.approx(clayton_h(alpha, v1, v2), rel=1e-12, abs=1e-300)
+
+
+@given(alpha=st.floats(0.2, 6.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_v2_matches_claytons_closed_form_inverse(alpha, seed):
+    # v1 and p as the sampler draws them; points where the conditional
+    # density at the solution is below 1e-3 are ill-conditioned (one ulp of
+    # p moves v2 by more than 1e-13) and are left out
+    rng = np.random.default_rng(seed)
+    v1 = rng.uniform(1e-9, 1.0 - 1e-9, 64)
+    p = rng.uniform(0.0, 1.0, 64)
+    v2 = _conditional_inverse(Clayton(alpha=alpha), v1, p)
+    mpmath.mp.dps = 40
+    a = mpmath.mpf(alpha)
+    for x, q, got in zip(v1, p, v2):
+        x, q = mpmath.mpf(x), mpmath.mpf(q)
+        exact = ((q ** (-a / (1 + a)) - 1) * x**-a + 1) ** (-1 / a)
+        density = (1 + a) * (x * exact) ** (-a - 1) * (x**-a + exact**-a - 1) ** (-1 / a - 2)
+        if density >= 1e-3:
+            assert abs(got - exact) <= 1e-12, (float(x), float(q))
+
+
+@given(alpha1=st.floats(0.1, 3.0), alpha2=st.floats(0.1, 3.0), v1=st.floats(1e-6, 0.999),
+       frac=st.floats(0.0, 0.999))
+@settings(max_examples=200, deadline=None)
+def test_marshall_olkin_without_a_crossing_takes_the_upper_end(alpha1, alpha2, v1, frac):
+    # the literal form's h(v1, 1) = (1 + alpha1) v1^alpha1 can stay below 1;
+    # then no v2 solves h(v1, v2) = p for p above it
+    top = (1.0 + alpha1) * v1**alpha1
+    assume(top < 0.99)
+    p = top * (1.0 + 1e-12) + frac * (1.0 - top * (1.0 + 1e-12))
+    cop = MarshallOlkin(alpha=(alpha1, alpha2))
+    assert _conditional_inverse(cop, np.array([v1]), np.array([p]))[0] == 1.0
+    below = _conditional_inverse(cop, np.array([v1]), np.array([0.5 * top]))[0]
+    assert below < 1.0
+
+
+@given(theta=st.floats(0.01, 1.0), v1=st.floats(1e-3, 1.0 - 1e-3), frac=st.floats(0.01, 0.99))
+@settings(max_examples=200, deadline=None)
+def test_a_linear_spearman_atom_lands_on_the_diagonal(theta, v1, frac):
+    # for theta > 0, h(v1, .) jumps by theta at v2 = v1: every p inside the
+    # jump belongs to the singular component on the diagonal
+    p = (1.0 - theta) * v1 + frac * theta
+    v2 = _conditional_inverse(LinearSpearman(theta=theta), np.array([v1]), np.array([p]))[0]
+    assert abs(v2 - v1) <= 4e-15
+
+
+def test_a_nan_kernel_raises_sampling_error(monkeypatch):
+    monkeypatch.setattr(Fgm, "_raw", lambda self, pts: np.nan * pts[..., 0])
+    with pytest.raises(SamplingError):
+        sample_bivariate(Fgm(alpha=0.5), MARGINALS, 100, seed=1)
+
+
+def test_a_nan_met_only_while_bisecting_raises_sampling_error(monkeypatch):
+    # p = 0.4 falls inside the jump of h at v2 = v1 = 0.3, which the Illinois
+    # rounds bracket to about 1e-5; the kernel is NaN only within 1e-9 of it
+    raw = LinearSpearman._raw
+    monkeypatch.setattr(LinearSpearman, "_raw", lambda self, pts: np.where(
+        np.abs((pts[..., 0] - pts[..., 1]).real) < 1e-9, np.nan * pts[..., 0], raw(self, pts)))
+    with pytest.raises(SamplingError):
+        _conditional_inverse(LinearSpearman(theta=0.5), np.array([0.3]), np.array([0.4]))
+
+
+@pytest.mark.parametrize("family", SMOOTH_FAMILIES)
+def test_kernel_points_per_sample_on_smooth_families(family, monkeypatch):
+    # counts every point the sampler passes to the kernel, so a fall-back to
+    # fixed-step bisection (96 points per sample with a two-sided difference,
+    # 48 with the complex step) fails here whatever the timings
+    rng = np.random.default_rng(8080)
+    n = 4096
+    for k in range(4):
+        cop = random_instance(family, rng)
+        counted = []
+        raw = type(cop)._raw
+        monkeypatch.setattr(type(cop), "_raw",
+                            lambda self, pts: counted.append(pts.size // 2) or raw(self, pts))
+        sample_bivariate(cop, MARGINALS, n, seed=k)
+        monkeypatch.undo()
+        assert sum(counted) / n <= 24, (str(cop), sum(counted) / n)

@@ -476,6 +476,18 @@ def test_curve_values_and_flags():
     assert (0, "rhr") in flagged and (0, "ai") in flagged
 
 
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+def test_curve_evaluates_its_stencil_once(structure, monkeypatch):
+    # sf, hr, rhr and mrl share one evaluation at the grid and its stencil points
+    sizes = []
+    joint = System._joint
+    monkeypatch.setattr(System, "_joint",
+                        lambda self, t, which: sizes.append(np.size(t)) or joint(self, t, which))
+    grid = np.linspace(0.1, 3.0, 25)
+    make(structure, "dependent", Fgm(alpha=0.5), (E1, Weibull(1.2, 1.7))).curve(grid)
+    assert sizes.count(3 * grid.size) == 1 and grid.size not in sizes
+
+
 def test_curve_rejects_bad_grid():
     s = make("series", "independent")
     with pytest.raises(DomainError):
