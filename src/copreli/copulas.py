@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 MAX_POINCARE_DIM = 20
+_TINY = np.finfo(float).tiny
 
 
 def _as_points(u, dim: int) -> np.ndarray:
@@ -96,8 +97,13 @@ class Copula:
         kinks (numpy expressions only, branching through numpy comparisons,
         ``min``/``max`` or ``where``; no ``abs``, ``math`` or ``float()``),
         because ``montecarlo.conditional_cdf`` takes a complex step through
-        it."""
+        it; where it switches branch in u2 is ``_switch_v2``."""
         raise NotImplementedError
+
+    def _switch_v2(self, v1: np.ndarray) -> np.ndarray | None:
+        """The v2 at which the bivariate kernel switches branch when u1 = v1,
+        or None for a smooth kernel; the sampler splits its bracket there."""
+        return None
 
     def __post_init__(self):
         bad = self.param_violations()
@@ -386,13 +392,17 @@ class MarshallOlkin(Copula):
         powered = pts ** np.asarray(self.alpha)
         return np.prod(pts, axis=-1) * np.min(powered, axis=-1)
 
+    def _switch_v2(self, v1):
+        return v1 ** (self.alpha[0] / self.alpha[1])
+
 
 @dataclass(frozen=True)
 class Amh(Copula):
     """Ali-Mikhail-Haq: (1 - alpha) / (prod ((1 - alpha)/u_i + alpha) - alpha), alpha in [-1, 1].
 
-    Evaluated in the cleared-denominator form; alpha = 1 uses its limit,
-    (sum 1/u_i - (n - 1))^(-1).
+    Evaluated as 1 / (1 + sum_k (1 - alpha)^(k-1) e_k(w)), w_i = (1 - u_i)/u_i,
+    whose terms are all >= 0, so nothing cancels as alpha -> 1.  C <= min(u),
+    so a point with a u below the smallest normal float reads 0 and w stays finite.
     """
 
     alpha: float
@@ -404,16 +414,13 @@ class Amh(Copula):
         return [v for v in out if v]
 
     def _raw(self, pts):
-        grounded = np.any(pts == 0.0, axis=-1)
-        safe = np.where(pts > 0, pts, 0.5)
-        if self.alpha == 1.0:
-            val = 1.0 / (np.sum(1.0 / safe, axis=-1) - (self.dim - 1))
-        else:
-            a = self.alpha
-            prod_u = np.prod(safe, axis=-1)
-            denom = np.prod(1.0 - a + a * safe, axis=-1) - a * prod_u
-            val = (1.0 - a) * prod_u / denom
-        return np.where(grounded, 0.0, val)
+        safe = np.where(pts < _TINY, 0.5, pts)
+        w = (1.0 - safe) / safe
+        s = w[..., 0]
+        with np.errstate(over="ignore"):  # s = inf only where C underflows
+            for i in range(1, self.dim):  # the sum over k, one coordinate at a time
+                s = s * (1.0 + (1.0 - self.alpha) * w[..., i]) + w[..., i]
+        return np.where(np.any(pts < _TINY, axis=-1), 0.0, 1.0 / (1.0 + s))
 
 
 @dataclass(frozen=True)
@@ -461,6 +468,9 @@ class FischerHinzmann(Copula):
         small = np.minimum(x, y)
         safe = np.where(big > 0, big, 1.0)
         return big * (1.0 + (small / safe) ** self.m) ** (1.0 / self.m)
+
+    def _switch_v2(self, v1):
+        return v1
 
 
 @dataclass(frozen=True)
@@ -538,6 +548,9 @@ class LinearSpearman(Copula):
             (1.0 + self.theta) * base,
             base + self.theta * (1.0 - u1) * (1.0 - u2),
         )
+
+    def _switch_v2(self, v1):
+        return v1 if self.theta >= 0.0 else 1.0 - v1
 
 
 FAMILIES: dict[str, type[Copula]] = {

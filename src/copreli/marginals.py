@@ -41,6 +41,16 @@ def _check_prob(p):
     return p
 
 
+def _reversed_hazard(self, t):
+    """pdf / cdf; SingularityError at the first t where the cdf vanishes."""
+    tt = _check_time(t)
+    cdf = np.asarray(self.cdf(tt))
+    if np.any(cdf == 0.0):
+        raise SingularityError("reversed hazard undefined where the cdf vanishes",
+                               t=float(tt.flat[np.argmax(cdf == 0.0)]))
+    return scalar_or_array(np.asarray(self.pdf(tt)) / cdf)
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential lifetime with rate ``lam`` (per unit time): sf(t) = exp(-lam t)."""
@@ -67,11 +77,7 @@ class Exponential:
         tt = _check_time(t)
         return scalar_or_array(np.full_like(tt, self.lam, dtype=float))
 
-    def reversed_hazard(self, t):
-        tt = _check_time(t)
-        if np.any(tt <= 0):
-            raise SingularityError("reversed hazard undefined where the cdf vanishes", t=0.0)
-        return scalar_or_array(self.pdf(tt) / self.cdf(tt))
+    reversed_hazard = _reversed_hazard
 
     def quantile(self, p):
         pp = _check_prob(p)
@@ -124,11 +130,7 @@ class Weibull:
             out = np.where(np.asarray(tt) == 0, self.lam, out)
         return scalar_or_array(out)
 
-    def reversed_hazard(self, t):
-        tt = _check_time(t)
-        if np.any(tt <= 0):
-            raise SingularityError("reversed hazard undefined where the cdf vanishes", t=0.0)
-        return scalar_or_array(self.pdf(tt) / self.cdf(tt))
+    reversed_hazard = _reversed_hazard
 
     def quantile(self, p):
         pp = _check_prob(p)

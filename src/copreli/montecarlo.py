@@ -7,10 +7,11 @@ from the copula kernel alone by a complex step (``numerics.complex_step``),
 with no family formula for h or its inverse, so the sampler stays
 independent of the quantities it is used to validate.  The solve is a
 vectorised Illinois (modified regula falsi) iteration on the bracket [0, 1]
-(Dowell & Jarratt 1971); points it has not settled after 16 rounds,
-such as those whose p falls inside a jump of h at a kink, are finished by
-bisection on the same h.  Where p >= h(v1, 1), which happens only for
-families without uniform margins, v2 is the upper end 1.
+(Dowell & Jarratt 1971), first split where the kernel switches branch
+(``Copula._switch_v2``), so Illinois meets only smooth pieces of h and a p
+inside a jump of h settles on the switch; points not settled after 16 rounds
+are finished by bisection on the same h.  Where p >= h(v1, 1), which happens
+only for families without uniform margins, v2 is the upper end 1.
 
 Lifetimes are materialised in one of two roles: ``distribution`` treats the
 family as the copula of the joint distribution function (the parallel-system
@@ -49,6 +50,7 @@ _CHUNK = 1 << 14
 _V2_TOL = 4e-15  # a point is settled once its bracket is this narrow ...
 _H_TOL = 2e-16  # ... or, in an Illinois round, its residual h(v1, v2) - p this small
 _ILLINOIS_ROUNDS = 16  # then bisection; 12 leave smooth points to it, more gain nothing
+_SPLIT = _V2_TOL / 4  # h is read this far either side of a branch switch
 
 
 @dataclass(frozen=True)
@@ -87,16 +89,29 @@ def _conditional_inverse(copula: Copula, v1: np.ndarray, p: np.ndarray) -> np.nd
 
     h(v1, 0) = 0 for every grounded copula, so the bracket [0, 1] starts with
     residuals -p and h(v1, 1) - p, and a point with p >= h(v1, 1) takes the
-    upper end.  Each round evaluates h once at the open points: at the
-    Illinois point for _ILLINOIS_ROUNDS rounds, then at the midpoint, keeping
-    only the bracket, until it is _V2_TOL narrow.  A point where h is NaN
-    settles at NaN.
+    upper end.  Where the kernel switches branch at k (clipped to [2 _SPLIT,
+    1 - 2 _SPLIT]), h at k -+ _SPLIT cuts the bracket to [0, k - _SPLIT] or
+    [k + _SPLIT, 1], or settles a p inside the jump at k.  Each round then
+    evaluates h once at the open points: at the Illinois point for
+    _ILLINOIS_ROUNDS rounds, then at the midpoint, keeping only the bracket,
+    until it is _V2_TOL narrow.  A point where h is NaN settles at NaN.
     """
     v2 = np.ones_like(v1)
     fb = conditional_cdf(copula, v1, v2) - p
     idx = np.flatnonzero(~(fb <= 0.0))
     x1, q, fb = v1[idx], p[idx], fb[idx]
     a, b, fa = np.zeros(idx.size), np.ones(idx.size), -q
+    k = copula._switch_v2(x1)
+    if k is not None:
+        k = np.clip(k, 2.0 * _SPLIT, 1.0 - 2.0 * _SPLIT)
+        lo, hi = (conditional_cdf(copula, np.tile(x1, 2), np.concatenate(
+            [k - _SPLIT, k + _SPLIT])) - np.tile(q, 2)).reshape(2, -1)
+        nan = np.isnan(lo + hi)
+        below, above = (lo > 0.0) & ~nan, (hi < 0.0) & (lo <= 0.0)
+        b, fb = np.where(below, k - _SPLIT, b), np.where(below, lo, fb)
+        a, fa = np.where(above, k + _SPLIT, a), np.where(above, hi, fa)
+        idx, x1, q, a, b, fa, fb = _settle(v2, ~(below | above), np.where(nan, np.nan, k),
+                                           idx, x1, q, a, b, fa, fb)
     moved_a = moved_b = np.zeros(idx.size, dtype=bool)
     for _ in range(_ILLINOIS_ROUNDS):
         if not idx.size:

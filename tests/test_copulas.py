@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,27 @@ def test_amh_alpha_one_limit_matches_nearby():
     v2 = Amh(alpha=1.0 - 1e-9).value(u)
     assert v1 == pytest.approx(u[0] * u[1] / (u[0] + u[1] - u[0] * u[1]), rel=1e-12)
     assert v1 == pytest.approx(v2, rel=1e-6)
+
+
+def amh_reference(alpha, u):
+    """AMH at 50 mpmath digits from its defining formula (the limit at alpha = 1)."""
+    mpmath.mp.dps = 50
+    a, u = mpmath.mpf(alpha), [mpmath.mpf(x) for x in u]
+    if a == 1:
+        return 1 / (sum(1 / x for x in u) - (len(u) - 1))
+    return (1 - a) / (mpmath.fprod((1 - a) / x + a for x in u) - a)
+
+
+@given(alpha=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
+           [1.0, 1.0 - 1e-9, 0.9999966939544733, 1.0 - 1e-15, -1.0, 0.0])),
+       dim=st.sampled_from([2, 3]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_amh_matches_mpmath_up_to_alpha_one(alpha, dim, data):
+    # as alpha -> 1 the cleared-denominator form cancels (5e-11 relative at
+    # alpha = 0.9999966939544733, 1.5e-7 at 1 - 1e-9)
+    u = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=dim, max_size=dim))
+    got = Amh(alpha=alpha, dim=dim).value(u)
+    assert abs(got - amh_reference(alpha, u)) <= 1e-14 * amh_reference(alpha, u)
 
 
 @given(

@@ -93,6 +93,15 @@ def test_domain_errors():
         Exponential(1.0).reversed_hazard(0.0)
 
 
+@pytest.mark.parametrize("t", [1e-100, [0.5, 1e-100, 0.0]])
+def test_reversed_hazard_where_the_cdf_underflows_raises(t):
+    # (2 * 1e-100)^3.5 underflows, so the cdf is 0 at a t > 0
+    with pytest.raises(SingularityError) as raised:
+        Weibull(2.0, 3.5).reversed_hazard(t)
+    assert raised.value.t == 1e-100
+    assert str(raised.value) == "reversed hazard undefined where the cdf vanishes"
+
+
 def test_parse_and_format_roundtrip():
     for spec in ["exp:1.0", "weibull:0.5,2.0", "exp:0.3333333333333333"]:
         m = parse_marginal(spec)

@@ -12,6 +12,7 @@ from copreli import (
     DomainError,
     Exponential,
     Fgm,
+    FischerHinzmann,
     GumbelBarnet,
     Independence,
     LinearSpearman,
@@ -24,6 +25,7 @@ from copreli import (
     finite_difference_audit,
     sample_bivariate,
 )
+from copreli import montecarlo
 from copreli.montecarlo import _conditional_inverse, conditional_cdf
 from copreli.numerics import richardson_pair
 
@@ -208,8 +210,8 @@ def test_sampler_covers_every_proper_family():
 # the conditional sampler: complex-step h-function and its inverse
 # ---------------------------------------------------------------------------
 
-SMOOTH_FAMILIES = [f for f in families_for_dim(2)
-                   if f not in ("marshall_olkin", "fischer_hinzmann", "linear_spearman")]
+KINKED_FAMILIES = ["marshall_olkin", "fischer_hinzmann", "linear_spearman"]
+SMOOTH_FAMILIES = [f for f in families_for_dim(2) if f not in KINKED_FAMILIES]
 
 
 def kink_distance(cop, v1: float, v2: float) -> float:
@@ -287,13 +289,45 @@ def test_marshall_olkin_without_a_crossing_takes_the_upper_end(alpha1, alpha2, v
     assert below < 1.0
 
 
-@given(theta=st.floats(0.01, 1.0), v1=st.floats(1e-3, 1.0 - 1e-3), frac=st.floats(0.01, 0.99))
+@given(family=st.sampled_from(families_for_dim(2)), seed=st.integers(0, 2**32 - 1),
+       v1=st.floats(1e-6, 1.0 - 1e-6))
+@settings(max_examples=200, deadline=None)
+def test_the_switch_lies_on_the_kink(family, seed, v1):
+    cop = random_instance(family, np.random.default_rng(seed))
+    k = cop._switch_v2(np.array([v1]))
+    if k is None:
+        assert kink_distance(cop, v1, 0.5) == math.inf
+    else:
+        assert kink_distance(cop, v1, float(k[0])) <= 1e-15
+
+
+@given(theta=st.floats(-1.0, 1.0).filter(lambda t: abs(t) >= 0.01),
+       v1=st.floats(1e-3, 1.0 - 1e-3), frac=st.floats(0.01, 0.99))
 @settings(max_examples=200, deadline=None)
 def test_a_linear_spearman_atom_lands_on_the_diagonal(theta, v1, frac):
-    # for theta > 0, h(v1, .) jumps by theta at v2 = v1: every p inside the
-    # jump belongs to the singular component on the diagonal
-    p = (1.0 - theta) * v1 + frac * theta
+    # h(v1, .) jumps by |theta| where the kernel switches branch: at v2 = v1
+    # for theta > 0, at v2 = 1 - v1 for theta < 0; every p inside the jump
+    # belongs to the singular component there
+    if theta > 0:
+        atom, below = v1, (1.0 - theta) * v1
+    else:
+        atom, below = 1.0 - v1, (1.0 + theta) * (1.0 - v1)
+    p = below + frac * abs(theta)
     v2 = _conditional_inverse(LinearSpearman(theta=theta), np.array([v1]), np.array([p]))[0]
+    assert abs(v2 - atom) <= 4e-15
+
+
+@given(m=st.floats(1.0, 4.0), alpha=st.floats(0.05, 1.0), corrected=st.booleans(),
+       v1=st.floats(1e-3, 1.0 - 1e-3), frac=st.floats(0.01, 0.99))
+@settings(max_examples=200, deadline=None)
+def test_a_fischer_hinzmann_atom_lands_on_the_diagonal(m, alpha, corrected, v1, frac):
+    # with weights a on min(u)^m and b on (u1 u2)^m, h(v1, .) jumps at v2 = v1
+    # from b v1^m S^(1/m - 1) to S^(1/m), S = a + b v1^m
+    a, b = (alpha, 1.0 - alpha) if corrected else (alpha**m, (1.0 - alpha) ** m)
+    s = a + b * v1**m
+    lo, hi = b * v1**m * s ** (1.0 / m - 1.0), s ** (1.0 / m)
+    cop = FischerHinzmann(m=m, alpha=alpha, corrected=corrected)
+    v2 = _conditional_inverse(cop, np.array([v1]), np.array([lo + frac * (hi - lo)]))[0]
     assert abs(v2 - v1) <= 4e-15
 
 
@@ -304,8 +338,8 @@ def test_a_nan_kernel_raises_sampling_error(monkeypatch):
 
 
 def test_a_nan_met_only_while_bisecting_raises_sampling_error(monkeypatch):
-    # p = 0.4 falls inside the jump of h at v2 = v1 = 0.3, which the Illinois
-    # rounds bracket to about 1e-5; the kernel is NaN only within 1e-9 of it
+    # p = 0.4 falls inside the jump of h at v2 = v1 = 0.3; the kernel is NaN
+    # only within 1e-9 of it, where the bracket split reads h
     raw = LinearSpearman._raw
     monkeypatch.setattr(LinearSpearman, "_raw", lambda self, pts: np.where(
         np.abs((pts[..., 0] - pts[..., 1]).real) < 1e-9, np.nan * pts[..., 0], raw(self, pts)))
@@ -313,13 +347,20 @@ def test_a_nan_met_only_while_bisecting_raises_sampling_error(monkeypatch):
         _conditional_inverse(LinearSpearman(theta=0.5), np.array([0.3]), np.array([0.4]))
 
 
-@pytest.mark.parametrize("family", SMOOTH_FAMILIES)
-def test_kernel_points_per_sample_on_smooth_families(family, monkeypatch):
-    # counts every point the sampler passes to the kernel, so a fall-back to
-    # fixed-step bisection (96 points per sample with a two-sided difference,
-    # 48 with the complex step) fails here whatever the timings
+def test_a_nan_met_only_in_the_bisection_loop_raises_sampling_error(monkeypatch):
+    # with no Illinois rounds every point goes to bisection, whose first
+    # midpoint v2 = 0.5 is the only place the kernel is NaN
+    raw = Fgm._raw
+    monkeypatch.setattr(montecarlo, "_ILLINOIS_ROUNDS", 0)
+    monkeypatch.setattr(Fgm, "_raw", lambda self, pts: np.where(
+        pts[..., 1].real == 0.5, np.nan * pts[..., 0], raw(self, pts)))
+    with pytest.raises(SamplingError):
+        _conditional_inverse(Fgm(alpha=0.5), np.array([0.3]), np.array([0.4]))
+
+
+def kernel_points_per_sample(family, monkeypatch, n=4096):
+    """Points the sampler passes to the kernel per sample, for four instances."""
     rng = np.random.default_rng(8080)
-    n = 4096
     for k in range(4):
         cop = random_instance(family, rng)
         counted = []
@@ -328,4 +369,22 @@ def test_kernel_points_per_sample_on_smooth_families(family, monkeypatch):
                             lambda self, pts: counted.append(pts.size // 2) or raw(self, pts))
         sample_bivariate(cop, MARGINALS, n, seed=k)
         monkeypatch.undo()
-        assert sum(counted) / n <= 24, (str(cop), sum(counted) / n)
+        yield str(cop), sum(counted) / n
+
+
+@pytest.mark.parametrize("family", SMOOTH_FAMILIES)
+def test_kernel_points_per_sample_on_smooth_families(family, monkeypatch):
+    # counts every point the sampler passes to the kernel, so a fall-back to
+    # fixed-step bisection (96 points per sample with a two-sided difference,
+    # 48 with the complex step) fails here whatever the timings
+    for cop, points in kernel_points_per_sample(family, monkeypatch):
+        assert points <= 24, (cop, points)
+
+
+@pytest.mark.parametrize("family", KINKED_FAMILIES)
+def test_kernel_points_per_sample_on_kinked_families(family, monkeypatch):
+    # the bracket split at the branch switch leaves Illinois a smooth piece
+    # and settles a p inside a jump at once; a solve across the kink needs
+    # 12-50 points per sample
+    for cop, points in kernel_points_per_sample(family, monkeypatch):
+        assert points <= 8, (cop, points)

@@ -16,6 +16,7 @@ from conftest import (
     wide_grid,
 )
 from copreli import (
+    Amh,
     DomainError,
     Exponential,
     Fgm,
@@ -67,6 +68,19 @@ def test_parallel_cdf_values():
     pd = make("parallel", "dependent", Fgm(alpha=0.5))
     assert pd.cdf(LN2) == pytest.approx(0.28125, abs=1e-15)
     assert pd.cdf(0.0) == 0.0
+
+
+def test_amh_near_alpha_one_curve_cdf_is_one_minus_sf():
+    # near alpha = 1 a kernel that cancels gives a point alone and inside the
+    # curve's array values 1e-11 apart (the cleared-denominator form did)
+    weibulls = (Weibull(0.7486754133157034, 2.1638458211713307),
+                Weibull(1.6433183947744756, 2.4065407302832247),
+                Weibull(1.4226388585599992, 2.640894665659966))
+    system = System(marginals=weibulls, structure="series", mode="dependent",
+                    copula=Amh(alpha=0.9999966939544733, dim=3))
+    grid = np.geomspace(0.10702439419108153, 2.6555911581092886, 25)
+    cdf = np.array([system.cdf(float(t)) for t in grid])
+    np.testing.assert_allclose(cdf, 1.0 - system.curve(grid).sf, rtol=0, atol=1e-12)
 
 
 def test_array_times_match_scalar_calls():
