@@ -33,7 +33,6 @@ from .copulas import (
     MarshallOlkin,
     NelsenTen,
     RluExtended,
-    format_copula,
     parse_copula,
     poincare_survival,
 )
@@ -46,10 +45,9 @@ from .exceptions import (
     SamplingError,
     SingularityError,
 )
-from .marginals import Exponential, Weibull, format_marginal, parse_marginal
+from .marginals import Exponential, Weibull, parse_marginal
 from .montecarlo import (
     SampleBatch,
-    empirical_copula,
     empirical_system_sf,
     finite_difference_audit,
     sample_bivariate,
@@ -65,7 +63,6 @@ from .ordering import (
     default_grid,
     infer_ordering,
     ratio_function,
-    ratio_profile,
     verify_theorem1,
 )
 from .systems import ReliabilityCurve, System
@@ -75,11 +72,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # marginals
-    "Exponential", "Weibull", "parse_marginal", "format_marginal",
+    "Exponential", "Weibull", "parse_marginal",
     # copulas
     "Copula", "Independence", "Fgm", "FischerKock", "Clayton", "GumbelHougaard",
     "GumbelBarnet", "NelsenTen", "MarshallOlkin", "Amh", "FischerHinzmann",
-    "RluExtended", "LinearSpearman", "FAMILIES", "parse_copula", "format_copula",
+    "RluExtended", "LinearSpearman", "FAMILIES", "parse_copula",
     "poincare_survival",
     # systems
     "System", "ReliabilityCurve",
@@ -90,11 +87,11 @@ __all__ = [
     "SystemPair", "ErrorReport", "classify_assessment",
     # ordering
     "MonotonicityVerdict", "OrderingVerdict", "OrderingReport", "default_grid",
-    "ratio_function", "ratio_profile", "classify_monotonicity", "infer_ordering",
+    "ratio_function", "classify_monotonicity", "infer_ordering",
     "verify_theorem1", "check_radial_duality", "check_lr_linear_spearman",
     "build_ordering_report",
     # monte carlo
-    "SampleBatch", "sample_bivariate", "empirical_system_sf", "empirical_copula",
+    "SampleBatch", "sample_bivariate", "empirical_system_sf",
     "finite_difference_audit",
     # exceptions
     "CopreliError", "DomainError", "ConfigError", "SingularityError",

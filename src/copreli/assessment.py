@@ -10,13 +10,12 @@ system hazards, which keeps the two routes consistent to rounding.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
@@ -180,27 +179,25 @@ class ErrorReport:
     def verdict_per_t(self) -> list[str]:
         return [_verdict(x) for x in self.raw]
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("t,raw,relative,verdict\n")
-        for t, raw, rel, v in zip(self.grid, self.raw, self.relative, self.verdict_per_t):
-            out.write(f"{float(t)!r},{float(raw)!r},{float(rel)!r},{v}\n")
-        return out.getvalue()
+    def _table(self) -> tuple[tuple[str, ...], list]:
+        return ("t", "raw", "relative", "verdict"), [self.grid, self.raw, self.relative,
+                                                     self.verdict_per_t]
 
-    def to_json(self) -> str:
-        def col(values):
-            return [None if np.isnan(v) else float(v) for v in values]
+    def to_csv(self, provenance: dict | None = None) -> str:
+        return tables.to_csv(*self._table(), provenance)
 
-        return json.dumps({
+    def to_markdown(self, provenance: dict | None = None) -> str:
+        return tables.to_markdown(*self._table(), provenance,
+                                  footer=f"\nclassification: {classify_assessment(self)}\n")
+
+    def to_json(self, provenance: dict | None = None) -> str:
+        return tables.to_json({
             "measure": self.measure,
             "structure": self.structure,
-            "t": [float(x) for x in self.grid],
-            "raw": col(self.raw),
-            "relative": col(self.relative),
-            "verdict": self.verdict_per_t,
+            **dict(zip(*self._table())),
             "classification": classify_assessment(self),
             "flags": [{"row": i, "reason": r} for i, r in self.flags],
-        }, indent=2)
+        }, provenance)
 
 
 def classify_assessment(report: ErrorReport) -> str:

@@ -18,14 +18,15 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .assessment import SystemPair, classify_assessment
+from . import __version__, tables
+from .assessment import SystemPair
 from .copulas import Copula, parse_copula
 from .exceptions import (
     CapacityError,
@@ -45,7 +46,7 @@ from .ordering import (
     infer_ordering,
     verify_theorem1,
 )
-from .systems import CURVE_COLUMNS, System
+from .systems import System
 
 __all__ = ["main", "RunConfig", "parse_config_text"]
 
@@ -55,38 +56,32 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 
+def _option(default=None, **flag):
+    """A RunConfig field set by the flag ``--<name>`` and the config key
+    ``<name>``; ``flag`` holds the argparse keywords (type, choices, action,
+    help), which convert and check a config-file value too."""
+    return field(default=default, metadata=flag)
+
+
 @dataclass
 class RunConfig:
-    """Resolved configuration of one CLI run; prints back to parseable text."""
+    """Resolved configuration of one CLI run."""
 
     command: str = "eval"
-    copula: str | None = None
-    marginal: list[str] = field(default_factory=list)
-    structure: str = "series"
-    mode: str | None = None
-    grid_min: float | None = None
-    grid_max: float | None = None
-    grid_count: int = 25
-    grid_spacing: str = "log"
-    format: str = "csv"
-    measure: str = "sf"
-    seed: int = 20240901
-    samples: int = 10000
-    role: str = "distribution"
-
-    def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if f.name == "marginal":
-                lines.extend(f"marginal = {m}" for m in v)
-            elif isinstance(v, float):
-                lines.append(f"{f.name} = {v!r}")
-            else:
-                lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+    copula: str | None = _option(help="copula spec, e.g. fgm:alpha=0.5")
+    marginal: list[str] = field(default_factory=list, metadata={
+        "action": "append", "help": "marginal spec, e.g. exp:1.0 (repeatable)"})
+    structure: str = _option("series", choices=["series", "parallel"])
+    mode: str | None = _option(choices=["dependent", "independent"])
+    grid_min: float | None = _option(type=float)
+    grid_max: float | None = _option(type=float)
+    grid_count: int = _option(25, type=int)
+    grid_spacing: str = _option("log", choices=["log", "linear"])
+    format: str = _option("csv", choices=["csv", "json", "md"])
+    measure: str = _option("sf", choices=["sf", "hr", "rhr", "mrl"])
+    seed: int = _option(20240901, type=int)
+    samples: int = _option(10000, type=int)
+    role: str = _option("distribution", choices=["distribution", "survival"])
 
     # --- resolution helpers -------------------------------------------------
 
@@ -116,23 +111,25 @@ class RunConfig:
             raise ConfigError(f"grid minimum {lo!r} invalid for {self.grid_spacing} spacing")
         if hi < lo:
             raise ConfigError(f"grid maximum {hi!r} below minimum {lo!r}")
-        if self.grid_count == 1:
-            return np.array([lo])
-        if self.grid_spacing == "log":
-            return np.geomspace(lo, hi, self.grid_count)
-        if self.grid_spacing == "linear":
-            return np.linspace(lo, hi, self.grid_count)
-        raise ConfigError(f"grid spacing must be log or linear, got {self.grid_spacing!r}")
+        space = np.geomspace if self.grid_spacing == "log" else np.linspace
+        return space(lo, hi, self.grid_count)
 
 
-_INT_KEYS = {"grid_count", "seed", "samples"}
-_FLOAT_KEYS = {"grid_min", "grid_max"}
+# every field but ``command``, which the subcommand sets
+_OPTIONS = tuple(f for f in fields(RunConfig) if f.metadata)
+
+
+def _add_options(parser: argparse.ArgumentParser) -> None:
+    for f in _OPTIONS:
+        parser.add_argument("--" + f.name.replace("_", "-"), **f.metadata)
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines; unknown keys and bad values carry positions."""
-    known = {f.name for f in fields(RunConfig)}
-    out: dict = {}
+    """Parse ``key = value`` lines through the flags' own parser, so each value
+    is converted and checked as its flag is; errors carry line numbers."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_options(parser)
+    values = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,23 +140,14 @@ def parse_config_text(text: str) -> dict:
         if not eq or not value:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}",
                               token=raw.strip())
-        if key not in known:
+        if key not in {f.name for f in _OPTIONS}:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}", token=key)
         try:
-            if key in _INT_KEYS:
-                parsed = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            else:
-                parsed = value
-        except ValueError:
-            raise ConfigError(f"config line {lineno}: bad value {value!r} for {key}",
+            parser.parse_args([f"--{key.replace('_', '-')}={value}"], namespace=values)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"config line {lineno}: {key}: {exc.message}",
                               token=value) from None
-        if key == "marginal":
-            out.setdefault("marginal", []).append(parsed)
-        else:
-            out[key] = parsed
-    return out
+    return {k: v for k, v in vars(values).items() if v is not None}
 
 
 def _provenance(config: RunConfig) -> dict:
@@ -174,18 +162,32 @@ def _provenance(config: RunConfig) -> dict:
     grid_hi = "auto" if config.grid_max is None else repr(config.grid_max)
     prov["grid"] = f"{grid_lo}:{grid_hi}:{config.grid_count}:{config.grid_spacing}"
     prov["seed"] = config.seed
+    if config.command == "sample":
+        prov["samples"] = config.samples
+        prov["role"] = config.role
     return prov
 
 
-def _comment_header(prov: dict) -> str:
-    return "".join(f"# {k}={v}\n" for k, v in prov.items())
+@dataclass(frozen=True)
+class _Result:
+    """A result the CLI builds itself: ``text(provenance)`` for csv and md,
+    ``record`` led by the provenance for json."""
+
+    text: Callable[[dict], str]
+    record: dict
+    indent: int | None = 2
+
+    def to_csv(self, provenance: dict) -> str:
+        return self.text(provenance)
+
+    to_markdown = to_csv
+
+    def to_json(self, provenance: dict) -> str:
+        return tables.to_json(self.record, provenance, provenance_first=True,
+                              indent=self.indent)
 
 
-def _with_provenance(report_json: str, prov: dict) -> str:
-    """A report's JSON text with the run's provenance added."""
-    record = json.loads(report_json)
-    record["provenance"] = prov
-    return json.dumps(record, indent=2) + "\n"
+_RENDER = {"csv": "to_csv", "json": "to_json", "md": "to_markdown"}
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +195,13 @@ def _with_provenance(report_json: str, prov: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_eval(config: RunConfig) -> tuple[str, int]:
+def _cmd_eval(config: RunConfig):
+    """reliability curve for one system"""
     marginals = config.marginal_objs()
     mode = config.resolved_mode()
     system = System(marginals=marginals, structure=config.structure, mode=mode,
                     copula=config.copula_obj())
-    curve = system.curve(config.grid(marginals))
-    prov = _provenance(config)
-    if config.format == "json":
-        return _with_provenance(curve.to_json(), prov), EXIT_OK
-    if config.format == "md":
-        names = ("t",) + CURVE_COLUMNS
-        lines = ["| " + " | ".join(names) + " |", "|" + " --- |" * len(names)]
-        for row in zip(curve.grid, *(getattr(curve, name) for name in CURVE_COLUMNS)):
-            lines.append("| " + " | ".join(f"{x:.6g}" for x in row) + " |")
-        return _comment_header(prov) + "\n".join(lines) + "\n", EXIT_OK
-    return _comment_header(prov) + curve.to_csv(), EXIT_OK
+    return system.curve(config.grid(marginals)), EXIT_OK
 
 
 def _require_copula(config: RunConfig) -> Copula:
@@ -218,7 +211,8 @@ def _require_copula(config: RunConfig) -> Copula:
     return copula
 
 
-def _cmd_error_table(config: RunConfig) -> tuple[str, int]:
+def _cmd_error_table(config: RunConfig):
+    """dependent-minus-independent error of one measure"""
     marginals = config.marginal_objs()
     copula = _require_copula(config)
     pair = SystemPair(copula=copula, marginals=marginals, structure=config.structure)
@@ -228,60 +222,41 @@ def _cmd_error_table(config: RunConfig) -> tuple[str, int]:
         # with no defined cell is a numerical failure, not a result
         first_bad = float(report.grid[report.flags[0][0]])
         raise SingularityError(report.flags[0][1], t=first_bad)
-    prov = _provenance(config)
-    if config.format == "json":
-        return _with_provenance(report.to_json(), prov), EXIT_OK
-    if config.format == "md":
-        lines = ["| t | raw | relative | verdict |", "| --- | --- | --- | --- |"]
-        for t, raw, rel, v in zip(report.grid, report.raw, report.relative,
-                                  report.verdict_per_t):
-            lines.append(f"| {t:.6g} | {raw:.6g} | {rel:.6g} | {v} |")
-        lines.append("")
-        lines.append(f"classification: {classify_assessment(report)}")
-        return _comment_header(prov) + "\n".join(lines) + "\n", EXIT_OK
-    return _comment_header(prov) + report.to_csv(), EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_ordering(config: RunConfig) -> tuple[str, int]:
+def _cmd_ordering(config: RunConfig):
+    """certify the stochastic order for a copula and structure"""
     marginals = config.marginal_objs()
     copula = _require_copula(config)
     verdict = infer_ordering(copula, marginals, config.structure)
-    prov = _provenance(config)
-    if config.format == "json":
-        mono = verdict.monotonicity
-        record = {
-            "provenance": prov,
-            "structure": verdict.structure,
-            "relation": verdict.relation,
-            "direction": verdict.direction,
-            "implied": list(verdict.implied),
-            "ratio_classification": mono.classification,
-            "certified_on_grid_points": int(mono.grid.size),
-            "statement": verdict.describe(),
-        }
-        if mono.increase_witness:
-            record["increase_witness"] = mono.increase_witness
-        if mono.decrease_witness:
-            record["decrease_witness"] = mono.decrease_witness
-        return json.dumps(record, indent=2) + "\n", EXIT_OK
+    mono = verdict.monotonicity
+    record = {
+        "structure": verdict.structure,
+        "relation": verdict.relation,
+        "direction": verdict.direction,
+        "implied": verdict.implied,
+        "ratio_classification": mono.classification,
+        "certified_on_grid_points": int(mono.grid.size),
+        "statement": verdict.describe(),
+    }
+    if mono.increase_witness:
+        record["increase_witness"] = mono.increase_witness
+    if mono.decrease_witness:
+        record["decrease_witness"] = mono.decrease_witness
     text = (f"{verdict.describe()}\n"
-            f"ratio: {verdict.monotonicity.classification} "
-            f"(certified on {verdict.monotonicity.grid.size} grid points)\n")
-    return _comment_header(prov) + text, EXIT_OK
+            f"ratio: {mono.classification} (certified on {mono.grid.size} grid points)\n")
+    return _Result(partial(tables.to_text, text), record), EXIT_OK
 
 
-def _cmd_table1(config: RunConfig) -> tuple[str, int]:
+def _cmd_table1(config: RunConfig):
+    """per-family ordering summary with published-table comparison"""
     marginals = config.marginal_objs() if config.marginal else None
-    report = build_ordering_report(marginals=marginals)
-    prov = _provenance(config)
-    if config.format == "json":
-        return _with_provenance(report.to_json(), prov), EXIT_OK
-    if config.format == "csv":
-        return _comment_header(prov) + report.to_csv(), EXIT_OK
-    return _comment_header(prov) + report.to_markdown(), EXIT_OK
+    return build_ordering_report(marginals=marginals), EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> tuple[str, int]:
+def _cmd_verify(config: RunConfig):
+    """inequality and identity audit bundle"""
     marginals = config.marginal_objs()
     copula = _require_copula(config)
     grid = default_grid(marginals, points=32)
@@ -303,34 +278,25 @@ def _cmd_verify(config: RunConfig) -> tuple[str, int]:
                        "detail": f"parallel {dual.parallel.classification}, "
                                  f"series {dual.series.classification}"})
     all_passed = all(c["passed"] for c in checks)
-    prov = _provenance(config)
-    code = EXIT_OK if all_passed else EXIT_VERIFICATION
-    if config.format == "json":
-        return json.dumps({"provenance": prov, "passed": all_passed, "checks": checks},
-                          indent=2) + "\n", code
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['check']}: {c['detail']}"
              for c in checks]
     lines.append("all checks passed" if all_passed else "verification FAILED")
-    return _comment_header(prov) + "\n".join(lines) + "\n", code
+    return (_Result(partial(tables.to_text, "\n".join(lines) + "\n"),
+                    {"passed": all_passed, "checks": checks}),
+            EXIT_OK if all_passed else EXIT_VERIFICATION)
 
 
-def _cmd_sample(config: RunConfig) -> tuple[str, int]:
+def _cmd_sample(config: RunConfig):
+    """draw dependent lifetime pairs"""
     marginals = config.marginal_objs()
     if len(marginals) != 2:
         raise ConfigError("sample needs exactly two --marginal entries")
     copula = _require_copula(config)
     batch = sample_bivariate(copula, marginals, n_samples=config.samples,
                              seed=config.seed, role=config.role)
-    prov = _provenance(config)
-    prov["samples"] = config.samples
-    prov["role"] = config.role
-    if config.format == "json":
-        return json.dumps({"provenance": prov,
-                           "t1": [float(x) for x in batch.t1],
-                           "t2": [float(x) for x in batch.t2]}) + "\n", EXIT_OK
-    body = "t1,t2\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
-                               for a, b in zip(batch.t1, batch.t2))
-    return _comment_header(prov) + body, EXIT_OK
+    pairs = {"t1": batch.t1, "t2": batch.t2}
+    return _Result(partial(tables.to_csv, pairs.keys(), pairs.values()), pairs,
+                   indent=None), EXIT_OK
 
 
 _DISPATCH = {
@@ -350,51 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"copreli {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("eval", "reliability curve for one system"),
-        ("error-table", "dependent-minus-independent error of one measure"),
-        ("ordering", "certify the stochastic order for a copula and structure"),
-        ("table1", "per-family ordering summary with published-table comparison"),
-        ("verify", "inequality and identity audit bundle"),
-        ("sample", "draw dependent lifetime pairs"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _DISPATCH.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="config file of key = value lines (flags win)")
-        p.add_argument("--copula", help="copula spec, e.g. fgm:alpha=0.5")
-        p.add_argument("--marginal", action="append",
-                       help="marginal spec, e.g. exp:1.0 (repeatable)")
-        p.add_argument("--structure", choices=["series", "parallel"])
-        p.add_argument("--mode", choices=["dependent", "independent"])
-        p.add_argument("--grid-min", type=float, dest="grid_min")
-        p.add_argument("--grid-max", type=float, dest="grid_max")
-        p.add_argument("--grid-count", type=int, dest="grid_count")
-        p.add_argument("--grid-spacing", choices=["log", "linear"], dest="grid_spacing")
-        p.add_argument("--format", choices=["csv", "json", "md"])
-        p.add_argument("--measure", choices=["sf", "hr", "rhr", "mrl"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--role", choices=["distribution", "survival"])
+        _add_options(p)
         p.add_argument("--output", help="write to this file instead of stdout")
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
+    values = {}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                file_values = parse_config_text(fh.read())
+                values = parse_config_text(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        for key, value in file_values.items():
-            setattr(config, key, value)
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
-    return config
+    for f in _OPTIONS:
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    return RunConfig(command=args.command, **values)
 
 
 def main(argv=None) -> int:
@@ -402,7 +343,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        text, code = _DISPATCH[args.command](config)
+        output, code = _DISPATCH[args.command](config)
+        text = getattr(output, _RENDER[config.format])(_provenance(config))
     except (ConfigError, DomainError) as exc:
         print(f"copreli: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

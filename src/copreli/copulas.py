@@ -13,7 +13,7 @@ copula of every family through the inclusion-exclusion conversion
 
 Spec strings look like ``fgm:alpha=0.5`` or
 ``marshall_olkin:alpha1=0.5,alpha2=1.5``; ``parse_copula`` and
-``format_copula`` round-trip bit-exactly.
+``Copula.spec_string`` round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "LinearSpearman",
     "poincare_survival",
     "parse_copula",
-    "format_copula",
     "FAMILIES",
     "MAX_POINCARE_DIM",
 ]
@@ -570,10 +569,6 @@ FAMILIES: dict[str, type[Copula]] = {
         LinearSpearman,
     )
 }
-
-
-def format_copula(c: Copula) -> str:
-    return c.spec_string()
 
 
 def parse_copula(spec: str) -> Copula:

@@ -23,7 +23,6 @@ __all__ = [
     "Weibull",
     "Marginal",
     "parse_marginal",
-    "format_marginal",
 ]
 
 
@@ -170,7 +169,3 @@ def parse_marginal(spec: str) -> Marginal:
             raise ConfigError(f"marginal spec {spec!r}: weibull takes rate and shape", token=rest)
         return Weibull(values[0], values[1])
     raise ConfigError(f"unknown marginal kind {kind!r} (expected exp or weibull)", token=kind)
-
-
-def format_marginal(m: Marginal) -> str:
-    return m.spec_string()

@@ -41,7 +41,6 @@ __all__ = [
     "sample_bivariate",
     "conditional_cdf",
     "empirical_system_sf",
-    "empirical_copula",
     "finite_difference_audit",
     "AuditResult",
 ]
@@ -202,13 +201,6 @@ def empirical_system_sf(batch: SampleBatch, structure: str, t: float) -> tuple[f
     if n == 0:
         raise DomainError("empty batch")
     p = float(np.mean(alive))
-    return p, math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-
-
-def empirical_copula(batch: SampleBatch, u1: float, u2: float) -> tuple[float, float]:
-    """Empirical C(u1, u2) on the copula scale, with standard error."""
-    n = batch.size
-    p = float(np.mean((batch.v1 <= u1) & (batch.v2 <= u2)))
     return p, math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
 
 

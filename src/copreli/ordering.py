@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import tables
 from .copulas import (
     Amh,
     Clayton,
@@ -48,7 +49,6 @@ __all__ = [
     "OrderingVerdict",
     "default_grid",
     "ratio_function",
-    "ratio_profile",
     "classify_monotonicity",
     "infer_ordering",
     "verify_theorem1",
@@ -105,10 +105,6 @@ def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
             return scalar_or_array(np.divide(num(t), den(t)))
 
     return ratio
-
-
-def ratio_profile(copula: Copula, marginals, kind: str, grid) -> np.ndarray:
-    return ratio_function(copula, marginals, kind)(np.asarray(grid, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -460,39 +456,26 @@ class OrderingReport:
                 out.append((row.label, "series"))
         return out
 
-    def to_markdown(self) -> str:
-        lines = [
-            "| family | parallel ratio C/C1 | parallel order | series ratio Chat/Chat1 | series order | flags |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ]
-        for row in self.rows:
-            flags = []
-            if row.parallel.agrees is False:
-                flags.append("parallel cell conflicts with published table")
-            if row.series.agrees is False:
-                flags.append("series cell conflicts with published table")
-            lines.append(
-                f"| {row.label} | {_ARROW[row.parallel.machine]} | "
-                f"{row.parallel.ordering.describe()} | {_ARROW[row.series.machine]} | "
-                f"{row.series.ordering.describe()} | {'; '.join(flags) or '-'} |"
-            )
-        return "\n".join(lines) + "\n"
+    def to_markdown(self, provenance: dict | None = None) -> str:
+        header = ("family", "parallel ratio C/C1", "parallel order", "series ratio Chat/Chat1",
+                  "series order", "flags")
+        rows = [(row.label, _ARROW[row.parallel.machine], row.parallel.ordering.describe(),
+                 _ARROW[row.series.machine], row.series.ordering.describe(),
+                 "; ".join(f"{name} cell conflicts with published table"
+                           for name in ("parallel", "series")
+                           if getattr(row, name).agrees is False) or "-")
+                for row in self.rows]
+        return tables.to_markdown(header, list(zip(*rows)), provenance)
 
-    def to_csv(self) -> str:
-        lines = ["family,cell,machine,published,agrees,ordering,note"]
-        for row in self.rows:
-            for cell_name, cell in (("parallel", row.parallel), ("series", row.series)):
-                agrees = "" if cell.agrees is None else str(cell.agrees).lower()
-                note = cell.note.replace(",", ";")
-                lines.append(
-                    f"{row.label},{cell_name},{cell.machine},{cell.published or ''},"
-                    f"{agrees},{cell.ordering.describe().replace(',', ';')},{note}"
-                )
-        return "\n".join(lines) + "\n"
+    def to_csv(self, provenance: dict | None = None) -> str:
+        header = ("family", "cell", "machine", "published", "agrees", "ordering", "note")
+        rows = [(row.label, name, cell.machine, cell.published, cell.agrees,
+                 cell.ordering.describe(), cell.note)
+                for row in self.rows
+                for name, cell in (("parallel", row.parallel), ("series", row.series))]
+        return tables.to_csv(header, list(zip(*rows)), provenance)
 
-    def to_json(self) -> str:
-        import json
-
+    def to_json(self, provenance: dict | None = None) -> str:
         def cell(c: OrderingCell):
             return {
                 "machine": c.machine,
@@ -500,19 +483,19 @@ class OrderingReport:
                 "agrees": c.agrees,
                 "ordering": c.ordering.describe(),
                 "direction": c.ordering.direction,
-                "implied": list(c.ordering.implied),
+                "implied": c.ordering.implied,
                 "note": c.note,
             }
 
-        return json.dumps({
-            "marginals": list(self.marginals_spec),
+        return tables.to_json({
+            "marginals": self.marginals_spec,
             "grid_points": self.grid_points,
             "rows": [
                 {"family": r.label, "copula": r.copula_spec,
                  "parallel": cell(r.parallel), "series": cell(r.series)}
                 for r in self.rows
             ],
-        }, indent=2)
+        }, provenance)
 
 
 def _report_row(spec: _RowSpec, marginals, grid) -> OrderingReportRow:

@@ -15,12 +15,11 @@ closed-form densities exist for general families.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, IntegrationError, SingularityError
 from .marginals import Marginal
@@ -329,17 +328,15 @@ class ReliabilityCurve:
                       for i, j in zip(*np.nonzero(reasons != "")))
         return ReliabilityCurve(grid=grid, sf=sf, hr=hr, rhr=rhr, mrl=mrl, ai=ai, flags=flags)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(("t",) + CURVE_COLUMNS) + "\n")
-        for row in zip(self.grid, *(getattr(self, name) for name in CURVE_COLUMNS)):
-            out.write(",".join(repr(float(x)) for x in row) + "\n")
-        return out.getvalue()
+    def _table(self) -> tuple[tuple[str, ...], list[np.ndarray]]:
+        return ("t",) + CURVE_COLUMNS, [self.grid, *(getattr(self, n) for n in CURVE_COLUMNS)]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "t": [float(x) for x in self.grid],
-            **{name: [None if np.isnan(v) else float(v) for v in getattr(self, name)]
-               for name in CURVE_COLUMNS},
-            "flags": [{"row": i, "column": c, "reason": r} for i, c, r in self.flags],
-        }, indent=2)
+    def to_csv(self, provenance: dict | None = None) -> str:
+        return tables.to_csv(*self._table(), provenance)
+
+    def to_markdown(self, provenance: dict | None = None) -> str:
+        return tables.to_markdown(*self._table(), provenance)
+
+    def to_json(self, provenance: dict | None = None) -> str:
+        flags = [{"row": i, "column": c, "reason": r} for i, c, r in self.flags]
+        return tables.to_json({**dict(zip(*self._table())), "flags": flags}, provenance)

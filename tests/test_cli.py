@@ -1,12 +1,15 @@
+import argparse
 import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+from copreli import ConfigError
 from copreli.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from copreli.cli import RunConfig, parse_config_text
+from copreli.cli import RunConfig, build_parser, parse_config_text
 
 LN2 = repr(math.log(2.0))
 
@@ -309,13 +312,42 @@ def test_config_errors_carry_position(tmp_path, capsys):
     assert "line 2" in err and "bogus_key" in err
 
 
-def test_runconfig_text_roundtrip():
-    config = RunConfig(command="eval", copula="fgm:alpha=0.5",
-                       marginal=["exp:1.0", "exp:2.0"], structure="parallel",
-                       grid_min=0.1, grid_max=2.0, grid_count=7,
-                       grid_spacing="linear", format="json", seed=99)
-    text = config.to_text()
-    parsed = parse_config_text(text)
-    rebuilt = RunConfig(**parsed)
-    assert rebuilt == config
-    assert rebuilt.to_text() == text
+# the fields whose flags take one of a fixed set of values
+CHOICE_FIELDS = ("structure", "mode", "grid_spacing", "format", "measure", "role")
+
+
+@pytest.mark.parametrize("key", CHOICE_FIELDS)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"copula = fgm:alpha=0.5\nmarginal = exp:1\nmarginal = exp:1\n{key} = bogus\n")
+    for command in ("eval", "table1"):
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "line 4" in err and key in err and "'bogus'" in err
+
+
+def _flag_actions(parser):
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subcommands.choices["eval"]._actions if a.option_strings}
+
+
+def test_every_field_is_a_flag_and_a_config_key_parsed_alike():
+    parser = build_parser()
+    actions = _flag_actions(parser)
+    names = {f.name for f in fields(RunConfig)} - {"command"}
+    assert set(actions) - {"help", "config", "output"} == names
+    # (values both accept, a value both refuse) by the flag's converter
+    samples = {int: (["7"], "1.5"), float: (["0.5"], "abc"), None: (["exp:1"], None)}
+    for name in sorted(names):
+        action = actions[name]
+        good, bad = (action.choices, "bogus") if action.choices else samples[action.type]
+        for value in good:
+            from_flag = getattr(parser.parse_args(["eval", action.option_strings[0], value]), name)
+            from_file = parse_config_text(f"{name} = {value}")[name]
+            assert from_file == from_flag and type(from_file) is type(from_flag), name
+        if bad is not None:
+            with pytest.raises(SystemExit):
+                parser.parse_args(["eval", action.option_strings[0], bad])
+            with pytest.raises(ConfigError):
+                parse_config_text(f"{name} = {bad}")

@@ -24,7 +24,6 @@ from copreli import (
     RluExtended,
     System,
     Weibull,
-    format_copula,
     parse_copula,
     poincare_survival,
     sample_bivariate,
@@ -416,15 +415,15 @@ ROUNDTRIP_SPECS = [
 @pytest.mark.parametrize("spec", ROUNDTRIP_SPECS)
 def test_spec_string_roundtrip_bit_exact(spec):
     cop = parse_copula(spec)
-    printed = format_copula(cop)
+    printed = cop.spec_string()
     again = parse_copula(printed)
     assert again == cop
-    assert format_copula(again) == printed
+    assert again.spec_string() == printed
 
 
 def test_roundtrip_preserves_awkward_floats():
     cop = Fgm(alpha=0.1 + 0.2)  # 0.30000000000000004
-    again = parse_copula(format_copula(cop))
+    again = parse_copula(cop.spec_string())
     assert again.alpha == cop.alpha  # bit-exact
 
 

@@ -11,7 +11,6 @@ from copreli import (
     Exponential,
     SingularityError,
     Weibull,
-    format_marginal,
     parse_marginal,
 )
 
@@ -41,7 +40,7 @@ def test_weibull_values():
     assert w.quantile(1.0 - math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("m", MODELS, ids=format_marginal)
+@pytest.mark.parametrize("m", MODELS, ids=lambda m: m.spec_string())
 def test_quantile_inverts_cdf(m):
     for p in np.linspace(0.001, 0.999, 40):
         t = m.quantile(p)
@@ -51,7 +50,7 @@ def test_quantile_inverts_cdf(m):
         assert m.quantile(m.cdf(t)) == pytest.approx(t, rel=1e-10)
 
 
-@pytest.mark.parametrize("m", MODELS, ids=format_marginal)
+@pytest.mark.parametrize("m", MODELS, ids=lambda m: m.spec_string())
 def test_density_and_rate_identities(m):
     grid = np.geomspace(1e-6, m.quantile(0.9999), 60)
     cdf = m.cdf(grid)
@@ -105,7 +104,7 @@ def test_reversed_hazard_where_the_cdf_underflows_raises(t):
 def test_parse_and_format_roundtrip():
     for spec in ["exp:1.0", "weibull:0.5,2.0", "exp:0.3333333333333333"]:
         m = parse_marginal(spec)
-        assert parse_marginal(format_marginal(m)) == m
+        assert parse_marginal(m.spec_string()) == m
 
 
 @pytest.mark.parametrize("bad,token", [

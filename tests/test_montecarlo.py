@@ -20,7 +20,6 @@ from copreli import (
     SamplingError,
     SingularityError,
     System,
-    empirical_copula,
     empirical_system_sf,
     finite_difference_audit,
     sample_bivariate,
@@ -49,24 +48,6 @@ def test_chunking_is_transparent():
     large = sample_bivariate(Fgm(alpha=0.5), MARGINALS, (1 << 14) + 1000, seed=5)
     assert np.array_equal(small.v1, large.v1[: 1 << 14])
     assert np.array_equal(small.v2, large.v2[: 1 << 14])
-
-
-def test_empirical_copula_independence():
-    batch = sample_bivariate(Independence(), MARGINALS, N, seed=21)
-    p, se = empirical_copula(batch, 0.5, 0.5)
-    assert abs(p - 0.25) <= 3.0 * se
-
-
-def test_empirical_copula_fgm():
-    batch = sample_bivariate(Fgm(alpha=1.0), MARGINALS, N, seed=22)
-    p, se = empirical_copula(batch, 0.5, 0.5)
-    assert abs(p - 0.3125) <= 3.0 * se
-
-
-def test_empirical_copula_clayton():
-    batch = sample_bivariate(Clayton(alpha=1.0), MARGINALS, N, seed=23)
-    p, se = empirical_copula(batch, 0.5, 0.5)
-    assert abs(p - 1.0 / 3.0) <= 3.0 * se
 
 
 def test_empirical_series_sf_independent():

@@ -28,7 +28,6 @@ from copreli import (
     default_grid,
     infer_ordering,
     ratio_function,
-    ratio_profile,
     verify_theorem1,
 )
 from copreli.numerics import central_derivative
@@ -45,17 +44,17 @@ MARGINALS = (E1, E1)
 def test_independence_ratios_are_one():
     grid = default_grid(MARGINALS, points=32)
     for kind in ("C_over_C1", "Chat_over_Chat1"):
-        vals = ratio_profile(Independence(), MARGINALS, kind, grid)
+        vals = ratio_function(Independence(), MARGINALS, kind)(grid)
         np.testing.assert_allclose(vals, 1.0, atol=1e-12)
 
 
 def test_fgm_ratio_values():
     # C/C1 = 1 + alpha (1-u1)(1-u2); at u = (0.5, 0.5) this is 1.125
     t = math.log(2.0)
-    val = ratio_profile(Fgm(alpha=0.5), MARGINALS, "C_over_C1", [t])[0]
+    val = ratio_function(Fgm(alpha=0.5), MARGINALS, "C_over_C1")(t)
     assert val == pytest.approx(1.125, abs=1e-12)
     # equal margins make u = uhat at the median, so C/Chat = 1 there
-    val = ratio_profile(Fgm(alpha=0.5), MARGINALS, "C_over_Chat", [t])[0]
+    val = ratio_function(Fgm(alpha=0.5), MARGINALS, "C_over_Chat")(t)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -397,7 +396,7 @@ def test_marshall_olkin_ratios_are_powered_minima():
     cop = MarshallOlkin(alpha=alphas)
     grid = default_grid(MARGINALS, points=32)
     for kind, coords in (("C_over_C1", "cdf"), ("Chat_over_Chat1", "sf")):
-        vals = ratio_profile(cop, MARGINALS, kind, grid)
+        vals = ratio_function(cop, MARGINALS, kind)(grid)
         for t, v in zip(grid, vals):
             base = [getattr(m, coords)(float(t)) for m in MARGINALS]
             expected = min(b**a for b, a in zip(base, alphas))
