@@ -11,8 +11,11 @@ Subcommands::
 
 Every run is deterministic given its configuration (including the seed).
 Exit codes: 0 ok, 2 configuration error, 3 numerical error, 4 verification
-failure.  A config file of ``key = value`` lines can stand in for flags;
-explicit flags win.
+failure.  Each option is defined once, as a field of ``RunConfig``, and is
+both a flag (``--grid-min``) and a config-file key (``grid_min``).  A config
+file of ``key = value`` lines can stand in for flags; its values are
+converted and checked by the flags' own parser, and explicit flags win.
+Every output (csv, json or md) is written by ``copreli.tables``.
 """
 
 from __future__ import annotations
@@ -299,6 +302,7 @@ def _cmd_sample(config: RunConfig):
                    indent=None), EXIT_OK
 
 
+# a subcommand's docstring is its line in ``copreli --help``
 _DISPATCH = {
     "eval": _cmd_eval,
     "error-table": _cmd_error_table,
