@@ -38,13 +38,15 @@ def to_text(body: str, provenance: dict | None = None) -> str:
 
 
 def to_csv(header, columns, provenance: dict | None = None) -> str:
+    """A csv table: one header line, then one line per row."""
     cells = (map(str, c.tolist()) if isinstance(c, np.ndarray) else map(_text_cell, c)
              for c in columns)
-    return to_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n",
-                   provenance)
+    # the empty last line ends the text with a newline without copying it
+    return to_text("\n".join([",".join(header), *map(",".join, zip(*cells)), ""]), provenance)
 
 
 def to_markdown(header, columns, provenance: dict | None = None, footer: str = "") -> str:
+    """A markdown table, then ``footer``."""
     cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in columns)
     rows = ([f"{x:.6g}" if isinstance(x, float) else str(x) for x in row] for row in zip(*cells))
     lines = "".join(f"| {' | '.join(row)} |\n"
