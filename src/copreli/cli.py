@@ -114,8 +114,11 @@ class RunConfig:
             raise ConfigError(f"grid minimum {lo!r} invalid for {self.grid_spacing} spacing")
         if hi < lo:
             raise ConfigError(f"grid maximum {hi!r} below minimum {lo!r}")
-        space = np.geomspace if self.grid_spacing == "log" else np.linspace
-        return space(lo, hi, self.grid_count)
+        if self.grid_spacing == "log":
+            return np.geomspace(lo, hi, self.grid_count)
+        if self.grid_spacing == "linear":
+            return np.linspace(lo, hi, self.grid_count)
+        raise ConfigError(f"grid spacing must be log or linear, got {self.grid_spacing!r}")
 
 
 # every field but ``command``, which the subcommand sets
@@ -132,6 +135,7 @@ def parse_config_text(text: str) -> dict:
     is converted and checked as its flag is; errors carry line numbers."""
     parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     _add_options(parser)
+    names = {f.name for f in _OPTIONS}
     values = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -143,7 +147,7 @@ def parse_config_text(text: str) -> dict:
         if not eq or not value:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}",
                               token=raw.strip())
-        if key not in {f.name for f in _OPTIONS}:
+        if key not in names:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}", token=key)
         try:
             parser.parse_args([f"--{key.replace('_', '-')}={value}"], namespace=values)

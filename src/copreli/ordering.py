@@ -465,7 +465,7 @@ class OrderingReport:
                            for name in ("parallel", "series")
                            if getattr(row, name).agrees is False) or "-")
                 for row in self.rows]
-        return tables.to_markdown(header, list(zip(*rows)), provenance)
+        return tables.to_markdown(header, zip(*rows), provenance)
 
     def to_csv(self, provenance: dict | None = None) -> str:
         header = ("family", "cell", "machine", "published", "agrees", "ordering", "note")
@@ -473,7 +473,7 @@ class OrderingReport:
                  cell.ordering.describe(), cell.note)
                 for row in self.rows
                 for name, cell in (("parallel", row.parallel), ("series", row.series))]
-        return tables.to_csv(header, list(zip(*rows)), provenance)
+        return tables.to_csv(header, zip(*rows), provenance)
 
     def to_json(self, provenance: dict | None = None) -> str:
         def cell(c: OrderingCell):

@@ -9,7 +9,6 @@ output change: ``PYTHONPATH=src python tests/test_cli_snapshots.py``.
 import contextlib
 import io
 import pathlib
-import sys
 import tempfile
 
 import pytest
@@ -81,4 +80,3 @@ if __name__ == "__main__":
     SNAPSHOTS.mkdir(exist_ok=True)
     for name in [*CASES, "config"]:
         (SNAPSHOTS / f"{name}.out").write_text(run_case(name), encoding="utf-8")
-    sys.exit(0)
