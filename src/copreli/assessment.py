@@ -19,8 +19,9 @@ from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
-from .numerics import Stencil, defined_or_raise, scalar_or_array
-from .systems import _SF_FLOOR, System, _raise_first, log_rate
+from .numerics import (CDF_VANISHED, DEFINED, IND_SF_VANISHED, REASONS, SF_VANISHED, ZERO_RATE,
+                       Stencil, defined_or_raise, scalar_or_array)
+from .systems import _SF_FLOOR, System, _raise_first
 
 __all__ = [
     "SystemPair",
@@ -32,6 +33,9 @@ __all__ = [
 VERDICT_TOL = 1e-10
 
 MEASURES = ("sf", "hr", "rhr", "mrl")
+
+# the code of each row of SystemPair._rates where its side vanished at t
+_VANISHED = (DEFINED, SF_VANISHED, SF_VANISHED, DEFINED, CDF_VANISHED, CDF_VANISHED)
 
 
 @dataclass(frozen=True)
@@ -59,52 +63,49 @@ class SystemPair:
     # --- survival function -------------------------------------------------
 
     def _sf_errors(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(raw, relative, reason) survival-function errors at each t."""
+        """(raw, relative, reason code) survival-function errors at each t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        dep = self.dependent.sf(t)
-        ind = self.independent.sf(t)
+        (dep, ind), _ = self.dependent.sides(t)
         vanished = ind <= _SF_FLOOR
         raw = np.where(vanished, np.nan, dep - ind)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = raw / ind
-        return raw, rel, np.where(vanished, "independent-counterpart survival vanished", "")
+        return raw, rel, np.where(vanished, IND_SF_VANISHED, DEFINED)
 
     def sf_error(self, t):
         """(raw, relative) survival-function error at t, a number or an array."""
-        raw, rel, reason = self._sf_errors(t)
-        return defined_or_raise(t, raw, reason), defined_or_raise(t, rel, reason)
+        raw, rel, code = self._sf_errors(t)
+        return defined_or_raise(t, raw, code), defined_or_raise(t, rel, code)
 
     # --- hazard-type errors (log-ratio derivatives) ------------------------
 
-    def _log_rates(self, t, h, which: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The error, the dependent rate and the independent rate, each as
-        (values, reason) at every t: the hazard type for ``which="sf"``, the
-        reversed-hazard type for ``"cdf"``.  One call of ``which`` per system.
-
-        The error is the log-derivative of the dependent/independent ratio.
-        The rates are evaluated only where that ratio has a stencil.
-        """
+    def _rates(self, t, h) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of values at every t and their reason codes: the hr error, the
+        dependent and the independent hazard, then the same for rhr; from one
+        ``System.sides`` call and one stacked log-derivative.  An error is the
+        log-derivative of the dependent/independent ratio; the rates are
+        evaluated only where that ratio has a stencil."""
         stencil = Stencil(t, h)
         x = np.concatenate([stencil.t[stencil.interior], stencil.points])
         k = x.size - stencil.points.size
-        dep = getattr(self.dependent, which)(x)
-        ind = getattr(self.independent, which)(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            error, reason = stencil.log_derivative(dep[k:] / ind[k:])
-        out = [(-error if which == "sf" else error, reason)]
-        for values in (dep, ind):
-            at = np.full(stencil.t.shape, np.nan)
-            at[stencil.interior] = values[:k]
-            out.append(log_rate(stencil, at, values[k:], which))
-        return out
+        rows, at = [], np.full((6, stencil.t.size), np.nan)
+        for i, (dep, ind) in enumerate(self.dependent.sides(x)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows += [dep[k:] / ind[k:], dep[k:], ind[k:]]
+            at[3 * i + 1, stencil.interior], at[3 * i + 2, stencil.interior] = dep[:k], ind[:k]
+        rate, code = stencil.log_derivative(np.array(rows), at, _VANISHED)
+        rate[:3] = -rate[:3]  # hazards are -d/dt ln sf
+        return rate, code
 
     def hr_error(self, t, h=None):
         """Hazard-rate error: -d/dt ln( sf_dep / sf_ind ), at a number or an array."""
-        return defined_or_raise(t, *self._log_rates(t, h, "sf")[0])
+        rate, code = self._rates(t, h)
+        return defined_or_raise(t, rate[0], code[0])
 
     def rhr_error(self, t, h=None):
         """Reversed-hazard error: +d/dt ln( cdf_dep / cdf_ind ), at a number or an array."""
-        return defined_or_raise(t, *self._log_rates(t, h, "cdf")[0])
+        rate, code = self._rates(t, h)
+        return defined_or_raise(t, rate[3], code[3])
 
     def mrl_error(self, t):
         """(raw, relative) mean-residual-life error at t, a number or an array;
@@ -119,8 +120,8 @@ class SystemPair:
         Each measure is evaluated on the whole grid at once, mrl by one
         batched quadrature per system.  A row whose error is undefined is NaN
         and flagged with the reason; a hazard-type row whose independent rate
-        is undefined keeps its raw error, with the relative error NaN and the
-        row flagged.  An mrl error other than a SingularityError is raised at
+        is undefined or 0 keeps its raw error, with the relative error NaN and
+        the row flagged.  An mrl error other than a SingularityError is raised at
         the first t where it occurs, the dependent system's first.
         """
         if measure not in MEASURES:
@@ -129,16 +130,19 @@ class SystemPair:
         if measure == "mrl":
             raw, rel, errors = self._mrl_errors(grid)
             _raise_first([e for e in errors if not isinstance(e, SingularityError)])
-            reason = np.array([str(e or "") for e in errors], dtype=object)
-        elif measure == "sf":
-            raw, rel, reason = self._sf_errors(grid)
+            flags = tuple((i, str(e)) for i, e in enumerate(errors) if e is not None)
         else:
-            (raw, reason), _, (rate, rate_reason) = self._log_rates(
-                grid, None, "sf" if measure == "hr" else "cdf")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel = raw / rate
-            reason = np.where(reason == "", rate_reason, reason)
-        flags = tuple((int(i), str(reason[i])) for i in np.flatnonzero(reason != ""))
+            if measure == "sf":
+                raw, rel, code = self._sf_errors(grid)
+            else:
+                rate, codes = self._rates(grid, None)
+                row = 0 if measure == "hr" else 3
+                raw, code, ind, ind_code = rate[row], codes[row], rate[row + 2], codes[row + 2]
+                code = np.where(code == DEFINED, ind_code, code)
+                code = np.where((code == DEFINED) & (ind == 0.0), ZERO_RATE, code)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rel = np.where(ind == 0.0, np.nan, raw / ind)
+            flags = tuple((int(i), REASONS[code[i]]) for i in np.flatnonzero(code))
         return ErrorReport(grid=grid, raw=raw, relative=rel, measure=measure,
                            structure=self.structure, flags=flags)
 
@@ -205,8 +209,6 @@ def classify_assessment(report: ErrorReport) -> str:
     verdicts = {v for v in report.verdict_per_t if v != "undefined"}
     if not verdicts:
         raise DomainError("error report has no defined grid points")
-    if verdicts == {"zero"}:
-        return "zero"
     if verdicts <= {"OA", "zero"}:
         return "uniform OA" if "OA" in verdicts else "zero"
     if verdicts <= {"UA", "zero"}:

@@ -33,7 +33,7 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import DomainError, SamplingError, SingularityError
 from .marginals import Marginal
-from .numerics import adaptive_step, complex_step, richardson_pair
+from .numerics import DEFINED, REASONS, adaptive_step, complex_step, richardson_pair
 from .assessment import SystemPair
 
 __all__ = [
@@ -189,8 +189,11 @@ def sample_bivariate(copula: Copula, marginals, n_samples: int, seed: int,
                        copula=copula, marginals=marginals)
 
 
-def empirical_system_sf(batch: SampleBatch, structure: str, t: float) -> tuple[float, float]:
-    """Fraction of sampled systems alive at t, with its binomial standard error."""
+def empirical_system_sf(batch: SampleBatch, structure: str, t: float,
+                        expected: float | None = None) -> tuple[float, float]:
+    """Fraction of sampled systems alive at t, with its binomial standard error
+    at that fraction or, for a score test (Wilson 1927), at the model's
+    probability ``expected``; p(1 - p) is floored at 1/n either way."""
     if structure == "series":
         alive = np.minimum(batch.t1, batch.t2) > t
     elif structure == "parallel":
@@ -201,7 +204,8 @@ def empirical_system_sf(batch: SampleBatch, structure: str, t: float) -> tuple[f
     if n == 0:
         raise DomainError("empty batch")
     p = float(np.mean(alive))
-    return p, math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
+    at = p if expected is None else float(expected)
+    return p, math.sqrt(max(at * (1.0 - at), 1.0 / n) / n)
 
 
 @dataclass(frozen=True)
@@ -221,8 +225,8 @@ def finite_difference_audit(copula: Copula, marginals, grid) -> AuditResult:
     For each structure, the identity route (log-derivative of the
     dependent/independent ratio) is compared against direct subtraction of
     the two systems' rates; both sides are evaluated at steps h and h/2 and
-    Richardson-extrapolated before comparing.  Each system is evaluated over
-    the whole grid once per structure, measure and step.  The first grid
+    Richardson-extrapolated before comparing.  Both systems are evaluated
+    over the whole grid in one call per structure and step.  The first grid
     point where a route is undefined raises SingularityError; a NaN
     discrepancy is ignored.
     """
@@ -232,18 +236,20 @@ def finite_difference_audit(copula: Copula, marginals, grid) -> AuditResult:
     out: dict[str, float] = {}
     for structure in ("series", "parallel"):
         pair = SystemPair(copula=copula, marginals=marginals, structure=structure)
-        for measure, which in (("hr", "sf"), ("rhr", "cdf")):
-            ident_h, dep_h, ind_h = pair._log_rates(grid, h, which)
-            ident_h2, dep_h2, ind_h2 = pair._log_rates(grid, h / 2, which)
-            # rows in the order a point-by-point audit meets them at each t
-            reasons = np.stack([r for _, r in (ident_h, ident_h2, dep_h, ind_h, dep_h2, ind_h2)])
-            undefined = reasons != ""
+        (rate_h, code_h), (rate_h2, code_h2) = pair._rates(grid, h), pair._rates(grid, h / 2)
+        for measure, ident in (("hr", 0), ("rhr", 3)):
+            dep, ind = ident + 1, ident + 2
+            # rows in the order a point-by-point audit meets them at each t:
+            # the identity at h and h/2, then both rates at h, then at h/2
+            codes = np.concatenate([code_h[[ident]], code_h2[[ident]], code_h[dep:ind + 1],
+                                    code_h2[dep:ind + 1]])
+            undefined = codes != DEFINED
             if undefined.any():
                 col = int(np.argmax(undefined.any(axis=0)))
-                row = int(np.argmax(undefined[:, col]))
-                raise SingularityError(str(reasons[row, col]), t=float(grid[col]))
-            ident = richardson_pair(ident_h[0], ident_h2[0])
-            direct = richardson_pair(dep_h[0] - ind_h[0], dep_h2[0] - ind_h2[0])
+                raise SingularityError(REASONS[codes[np.argmax(undefined[:, col]), col]],
+                                       t=float(grid[col]))
+            identity = richardson_pair(rate_h[ident], rate_h2[ident])
+            direct = richardson_pair(rate_h[dep] - rate_h[ind], rate_h2[dep] - rate_h2[ind])
             out[f"{structure}_{measure}"] = float(
-                np.fmax.reduce(np.abs(ident - direct), initial=0.0))
+                np.fmax.reduce(np.abs(identity - direct), initial=0.0))
     return AuditResult(per_check=out)

@@ -5,9 +5,11 @@ strictly positive functions, so a central stencil with a step proportional
 to t is accurate to ~1e-8 relative and exact for log-quadratic laws.
 
 The stencil works on whole grids: each function is evaluated once, on both
-sides of every point, and each point carries the reason it is undefined
-(empty where it is defined).  ``scalar_or_array`` is the package's one rule
-for results: one with no axes is returned as a python float.
+sides of every point, and a stack of functions gives one row each.  Every
+point carries a reason code, an index into ``REASONS`` (0 where it is
+defined); the message is looked up only where a point is flagged or raised.
+``scalar_or_array`` is the package's one rule for results: one with no axes
+is returned as a python float.
 ``complex_step`` takes exact first derivatives of functions that accept
 complex arguments (the copula kernels).
 """
@@ -24,6 +26,7 @@ __all__ = [
     "scalar_or_array",
     "adaptive_step",
     "Stencil",
+    "REASONS",
     "defined_or_raise",
     "central_log_derivative",
     "central_derivative",
@@ -33,8 +36,19 @@ __all__ = [
 
 _TINY = 1e-12
 _COMPLEX_STEP = 1e-30
-_NOT_INTERIOR = "log-derivative needs an interior point t > 0"
-_VANISHES = "function vanishes inside the stencil"
+
+# why a value is undefined, indexed by its reason code
+REASONS = ("",
+           "log-derivative needs an interior point t > 0",
+           "function vanishes inside the stencil",
+           "survival function vanished",
+           "distribution function vanished",
+           "aging intensity needs t > 0",
+           "aging intensity undefined where sf is 0 or 1",
+           "independent-counterpart survival vanished",
+           "relative error undefined: the independent rate is 0")
+(DEFINED, NOT_INTERIOR, VANISHES, SF_VANISHED, CDF_VANISHED, AI_NEEDS_POSITIVE_T,
+ AI_UNDEFINED, IND_SF_VANISHED, ZERO_RATE) = range(len(REASONS))
 
 
 def scalar_or_array(x):
@@ -63,29 +77,36 @@ class Stencil:
         self.t, self.h, self.interior = t, h, h > 0.0
         self.points = np.concatenate([(t - h)[self.interior], (t + h)[self.interior]])
 
-    def log_derivative(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """(d/dt ln f, reason) at each time, from f at ``points``.
+    def log_derivative(self, values, at=None, vanished=None) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dt ln f, reason code) at each time, one row per row of ``values``,
+        which holds each function f at ``points``.
 
-        reason[i] is "" where the derivative is defined and otherwise says
-        why it is not, with the derivative NaN.  A value that is not finite
-        counts as vanished (a ratio whose denominator underflowed).
+        A code is 0 where the derivative is defined; elsewhere the derivative
+        is NaN.  A value that is not finite counts as vanished (a ratio whose
+        denominator underflowed).  With ``at``, each row's f at the times (NaN
+        where not evaluated), a time where f <= 1e-12 gets that row's code in
+        ``vanished`` instead.
         """
-        lo = np.full(self.t.shape, np.nan)
-        hi = np.full(self.t.shape, np.nan)
-        lo[self.interior], hi[self.interior] = np.split(np.asarray(values, dtype=float), 2)
+        values = np.asarray(values, dtype=float)
+        lo, hi = np.full((2, values.shape[0], self.t.size), np.nan)
+        half = values.shape[1] // 2
+        lo[:, self.interior], hi[:, self.interior] = values[:, :half], values[:, half:]
         alive = (np.minimum(lo, hi) > _TINY) & (np.maximum(lo, hi) < np.inf)
+        code = np.where(self.interior, np.where(alive, DEFINED, VANISHES), NOT_INTERIOR)
+        if at is not None:
+            code = np.where(at <= _TINY, np.asarray(vanished)[:, None], code)
         with np.errstate(divide="ignore", invalid="ignore"):
-            derivative = np.where(alive, (np.log(hi) - np.log(lo)) / (2.0 * self.h), np.nan)
-        reason = np.where(self.interior, np.where(alive, "", _VANISHES), _NOT_INTERIOR)
-        return derivative, reason
+            derivative = np.where(code == DEFINED, (np.log(hi) - np.log(lo)) / (2.0 * self.h),
+                                  np.nan)
+        return derivative, code
 
 
-def defined_or_raise(t, values: np.ndarray, reason: np.ndarray):
+def defined_or_raise(t, values: np.ndarray, code: np.ndarray):
     """``values`` shaped like ``t`` (a float for a number), or SingularityError
-    with the reason of the first undefined point."""
-    bad = np.flatnonzero(reason != "")
+    with the reason of the first point whose ``code`` is not 0."""
+    bad = np.flatnonzero(code)
     if bad.size:
-        raise SingularityError(str(reason[bad[0]]), t=float(np.ravel(t)[bad[0]]))
+        raise SingularityError(REASONS[code[bad[0]]], t=float(np.ravel(t)[bad[0]]))
     return scalar_or_array(values.reshape(np.shape(t)))
 
 
@@ -96,13 +117,15 @@ def central_log_derivative(f: Callable, t, h=None):
     times to an array.  Raises SingularityError at the first undefined point.
     """
     stencil = Stencil(t, h)
-    return defined_or_raise(t, *stencil.log_derivative(f(stencil.points)))
+    rate, code = stencil.log_derivative([f(stencil.points)])
+    return defined_or_raise(t, rate[0], code[0])
 
 
 def central_derivative(f: Callable, t, h=None):
     """d/dt f(t) by central differences, for a number or an array of times.
 
-    ``f`` maps an array of times to an array; the step defaults to
+    ``f`` maps an array of times to an array, or to a stack of arrays with
+    one row per function; the step defaults to
     ``adaptive_step(t)`` and shrinks to t/2 near 0 (1e-6 at t <= 0).
     """
     t = np.asarray(t, dtype=float)

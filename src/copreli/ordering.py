@@ -64,21 +64,15 @@ __all__ = [
     "DEFAULT_REPORT_ROWS",
 ]
 
-# ratio kind -> (system of _systems, function) of the numerator and the denominator
-_RATIOS = {"C_over_C1": (("P_D", "cdf"), ("P_I", "cdf")),
-           "Chat_over_Chat1": (("S_D", "sf"), ("S_I", "sf")),
-           "C_over_Chat": (("P_D", "cdf"), ("S_D", "sf"))}
-RATIO_KINDS = tuple(_RATIOS)
+RATIO_KINDS = ("C_over_C1", "Chat_over_Chat1", "C_over_Chat")
 
 
-def _systems(copula: Copula, marginals) -> dict[str, System]:
-    """The parallel (P) and series (S) systems over ``marginals``, dependent
-    (D) through ``copula`` and independent (I), keyed "P_D", "P_I", "S_D", "S_I"."""
+def _dependent(copula: Copula, marginals, structure: str) -> System:
+    """The ``structure`` system over ``marginals`` with dependence through ``copula``."""
     marginals = tuple(marginals)
     if copula.dim != len(marginals):
         raise DomainError(f"copula dimension {copula.dim} != marginal count {len(marginals)}")
-    return {f"{structure[0].upper()}_{mode[0].upper()}": System(marginals, structure, mode, copula)
-            for structure in ("parallel", "series") for mode in ("dependent", "independent")}
+    return System(marginals, structure, "dependent", copula)
 
 
 def default_grid(marginals, points: int = 64, lo: float = 1e-3, hi: float = 0.999) -> np.ndarray:
@@ -88,21 +82,28 @@ def default_grid(marginals, points: int = 64, lo: float = 1e-3, hi: float = 0.99
 
 
 def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
-    """t -> copula ratio of the requested kind along the diagonal, as the
-    quotient of two system functions (``_RATIOS``).
+    """t -> copula ratio of the requested kind along the diagonal: dependent
+    over independent parallel cdf (C/C1) or series sf (Chat/Chat1), or the
+    dependent parallel cdf over the dependent series sf (C/Chat).
 
     The function takes a number (returning a float) or a one-dimensional
-    array of times (returning an array) and makes one call per side.
+    array of times (returning an array), with one ``System.sides`` call per
+    structure.
     """
     if kind not in RATIO_KINDS:
         raise DomainError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
-    systems = _systems(copula, marginals)
-    num, den = (getattr(systems[key], which) for key, which in _RATIOS[kind])
+    parallel, series = (_dependent(copula, marginals, s) for s in ("parallel", "series"))
 
     def ratio(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return scalar_or_array(np.divide(num(t), den(t)))
+        if kind == "C_over_C1":
+            num, den = parallel.sides(t)[1]
+        elif kind == "Chat_over_Chat1":
+            num, den = series.sides(t)[0]
+        else:
+            num, den = parallel.sides(t)[1][0], series.sides(t)[0][0]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return scalar_or_array(np.divide(num, den))
 
     return ratio
 
@@ -111,9 +112,11 @@ def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
 class MonotonicityVerdict:
     """Sign-pattern classification of a function on a (possibly refined) grid.
 
-    Witnesses are ((t_a, v_a), (t_b, v_b)) pairs with t_a < t_b showing a
-    significant move in each direction; they are populated only for
-    non-monotone verdicts.
+    ``grid`` and ``values`` hold every point evaluated, but only the points
+    with a finite value are classified; ``certified_range`` is the first and
+    the last of those.  Witnesses are ((t_a, v_a), (t_b, v_b)) pairs with
+    t_a < t_b showing a significant move in each direction; they are
+    populated only for non-monotone verdicts.
     """
 
     classification: str  # increasing | decreasing | constant | non_monotone
@@ -121,6 +124,7 @@ class MonotonicityVerdict:
     values: np.ndarray
     increase_witness: tuple[tuple[float, float], tuple[float, float]] | None = None
     decrease_witness: tuple[tuple[float, float], tuple[float, float]] | None = None
+    certified_range: tuple[float, float] | None = None
 
 
 def _significant_moves(ts, vs, tol_scale):
@@ -141,20 +145,25 @@ def _evaluate(fn: Callable, ts: np.ndarray) -> np.ndarray:
 def classify_monotonicity(fn: Callable, grid,
                           refine_budget: int = 256,
                           tol_scale: float = 1e-9) -> MonotonicityVerdict:
-    """Classify fn on grid; on a mixed sign pattern, refine near the sign
-    changes (8x subdivision) up to ``refine_budget`` extra evaluations before
-    declaring non-monotonicity.
+    """Classify fn on the grid points where it is finite; on a mixed sign
+    pattern, refine near the sign changes (8x subdivision) up to
+    ``refine_budget`` extra evaluations before declaring non-monotonicity.
 
     ``fn`` receives a one-dimensional array of times: once with the grid,
-    then once per refinement round with that round's new points.
+    then once per refinement round with that round's new points.  A value
+    that is not finite (a ratio whose denominator underflowed) is left out;
+    DomainError if fewer than 16 grid points have a finite value.
     """
     ts = np.asarray(grid, dtype=float)
-    if ts.size < 16:
-        raise DomainError("monotonicity classification needs at least 16 grid points")
     vs = _evaluate(fn, ts)
+    if np.count_nonzero(np.isfinite(vs)) < 16:
+        raise DomainError("monotonicity classification needs at least 16 grid points "
+                          "with a finite value")
     budget = refine_budget
     while True:
-        ups, downs = _significant_moves(ts, vs, tol_scale)
+        finite = np.isfinite(vs)
+        fts, fvs = ts[finite], vs[finite]
+        ups, downs = _significant_moves(fts, fvs, tol_scale)
         if not (ups.any() and downs.any()) or budget <= 0:
             break
         # refine every interval adjacent to a direction change
@@ -165,7 +174,7 @@ def classify_monotonicity(fn: Callable, grid,
         for i in np.union1d(turns - 1, turns):
             if budget <= 0:
                 break
-            inner = np.linspace(ts[i], ts[i + 1], 9)[1:-1]
+            inner = np.linspace(fts[i], fts[i + 1], 9)[1:-1]
             new_ts.extend(inner)
             budget -= inner.size
         if not new_ts:
@@ -176,25 +185,17 @@ def classify_monotonicity(fn: Callable, grid,
         ts = np.concatenate([ts, new_ts])[order]
         vs = np.concatenate([vs, new_vs])[order]
 
-    ups, downs = _significant_moves(ts, vs, tol_scale)
+    certified = (float(fts[0]), float(fts[-1]))
     if ups.any() and downs.any():
-        diffs = np.diff(vs)
-        i_up = int(np.argmax(diffs))
-        i_dn = int(np.argmin(diffs))
-        return MonotonicityVerdict(
-            classification="non_monotone",
-            grid=ts,
-            values=vs,
-            increase_witness=((float(ts[i_up]), float(vs[i_up])),
-                              (float(ts[i_up + 1]), float(vs[i_up + 1]))),
-            decrease_witness=((float(ts[i_dn]), float(vs[i_dn])),
-                              (float(ts[i_dn + 1]), float(vs[i_dn + 1]))),
-        )
-    if ups.any():
-        return MonotonicityVerdict("increasing", ts, vs)
-    if downs.any():
-        return MonotonicityVerdict("decreasing", ts, vs)
-    return MonotonicityVerdict("constant", ts, vs)
+        diffs = np.diff(fvs)
+
+        def witness(i):
+            return tuple((float(fts[j]), float(fvs[j])) for j in (i, i + 1))
+
+        return MonotonicityVerdict("non_monotone", ts, vs, witness(int(np.argmax(diffs))),
+                                   witness(int(np.argmin(diffs))), certified)
+    classification = "increasing" if ups.any() else "decreasing" if downs.any() else "constant"
+    return MonotonicityVerdict(classification, ts, vs, certified_range=certified)
 
 
 @dataclass(frozen=True)
@@ -269,14 +270,13 @@ _THEOREM1_INEQUALITIES = ("P_I >= S_I", "P_I >= S_D", "P_D >= S_I", "P_D >= S_D"
 def verify_theorem1(copula: Copula, marginals, grid=None,
                     slack_tol: float = 1e-10) -> Theorem1Result:
     """Check F_P^I, F_P^D >= F_S^I, F_S^D (as survival functions) pointwise."""
-    systems = _systems(copula, marginals)
+    parallel, series = (_dependent(copula, marginals, s) for s in ("parallel", "series"))
     if grid is None:
         grid = default_grid(marginals)
     t = np.asarray(grid, dtype=float)
-    sf = {key: system.sf(t) for key, system in systems.items()}
+    ((p_d, p_i), _), ((s_d, s_i), _) = parallel.sides(t), series.sides(t)
     # one row per grid point, in the order of _THEOREM1_INEQUALITIES
-    slack = np.stack([sf[left] - sf[right] for left, right in
-                      (pair.split(" >= ") for pair in _THEOREM1_INEQUALITIES)], axis=-1)
+    slack = np.stack([p_i - s_i, p_i - s_d, p_d - s_i, p_d - s_d], axis=-1)
     slack = np.where(np.isnan(slack), np.inf, slack).ravel()
     if not np.any(slack < np.inf):
         return Theorem1Result(passed=True, worst_slack=float("inf"), worst_t=float("nan"),
@@ -355,9 +355,9 @@ def check_lr_linear_spearman(theta: float, marginals, grid=None,
         rhr = m.reversed_hazard(grid)
         if np.any(np.diff(rhr) > 1e-12 * (1.0 + np.abs(rhr[:-1]))):
             raise DomainError("marginal reversed hazard is not decreasing on the grid")
-    systems = _systems(LinearSpearman(theta=theta), marginals)
-    ratio = (central_derivative(systems["P_D"].cdf, grid)
-             / central_derivative(systems["P_I"].cdf, grid))
+    parallel = _dependent(LinearSpearman(theta=theta), marginals, "parallel")
+    dep, ind = central_derivative(lambda x: parallel.sides(x)[1], grid)
+    ratio = dep / ind
     increases = np.diff(ratio)
     if increases.size:
         at = int(np.argmax(increases))
@@ -448,13 +448,8 @@ class OrderingReport:
     grid_points: int
 
     def conflicted_cells(self) -> list[tuple[str, str]]:
-        out = []
-        for row in self.rows:
-            if row.parallel.agrees is False:
-                out.append((row.label, "parallel"))
-            if row.series.agrees is False:
-                out.append((row.label, "series"))
-        return out
+        return [(row.label, name) for row in self.rows for name in ("parallel", "series")
+                if getattr(row, name).agrees is False]
 
     def to_markdown(self, provenance: dict | None = None) -> str:
         header = ("family", "parallel ratio C/C1", "parallel order", "series ratio Chat/Chat1",

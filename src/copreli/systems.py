@@ -23,14 +23,14 @@ from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, IntegrationError, SingularityError
 from .marginals import Marginal
-from .numerics import Stencil, defined_or_raise, scalar_or_array
+from .numerics import (AI_NEEDS_POSITIVE_T, AI_UNDEFINED, CDF_VANISHED, DEFINED, REASONS,
+                       SF_VANISHED, Stencil, defined_or_raise, scalar_or_array)
 
 __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 
 CURVE_COLUMNS = ("sf", "hr", "rhr", "mrl", "ai")
 
 _SF_FLOOR = 1e-12
-_AI_NEEDS_POSITIVE_T = "aging intensity needs t > 0"
 
 
 def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,28 +113,14 @@ def _raise_first(errors: list) -> None:
             raise error
 
 
-def log_rate(stencil: Stencil, at: np.ndarray, sides: np.ndarray,
-             which: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hazard (``which="sf"``) or reversed hazard (``"cdf"``) at the stencil's
-    times, with the reason each is undefined, from the system's ``which`` at
-    the times (``at``, NaN where not evaluated) and at the stencil points."""
-    rate, reason = stencil.log_derivative(sides)
-    vanished = at <= _SF_FLOOR
-    name = "survival" if which == "sf" else "distribution"
-    reason = np.where(vanished, f"{name} function vanished", reason)
-    rate = np.where(vanished, np.nan, -rate if which == "sf" else rate)
-    return rate, reason
-
-
-def _aging_intensity(t: np.ndarray, hr: np.ndarray, reason: np.ndarray,
+def _aging_intensity(t: np.ndarray, hr: np.ndarray, code: np.ndarray,
                      sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aging intensity t hr / -ln sf at each t, with the reason each is undefined,
-    from the hazard, the reason it is undefined, and sf at t (``System._rates``)."""
-    reason = np.where((_SF_FLOOR < sf) & (sf < 1.0 - 1e-15), reason,
-                      "aging intensity undefined where sf is 0 or 1")
-    reason = np.where(t > 0, reason, _AI_NEEDS_POSITIVE_T)
+    """Aging intensity t hr / -ln sf at each t, with its reason code, from the
+    hazard, the hazard's reason code, and sf at t (``System._rates``)."""
+    code = np.where((_SF_FLOOR < sf) & (sf < 1.0 - 1e-15), code, AI_UNDEFINED)
+    code = np.where(t > 0, code, AI_NEEDS_POSITIVE_T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(reason == "", t * hr / -np.log(sf), np.nan), reason
+        return np.where(code == DEFINED, t * hr / -np.log(sf), np.nan), code
 
 
 @dataclass(frozen=True)
@@ -172,15 +158,31 @@ class System:
     def n(self) -> int:
         return len(self.marginals)
 
-    def _joint(self, t, which: str):
-        """The copula, or the product when independent, at the marginals' ``which``
-        values at t, where ``which`` is "sf" or "cdf"."""
+    def _points(self, t, which: str) -> np.ndarray:
+        """The marginals' ``which`` values ("sf" or "cdf") at t, one row per t."""
         pts = np.array([getattr(m, which)(t) for m in self.marginals]).T
         if pts.ndim > 2:
             raise DomainError("t must be a number or a one-dimensional array")
+        return pts
+
+    def _joint(self, t, which: str):
+        """The copula, or the product when independent, at the marginals' ``which``
+        values at t, where ``which`` is "sf" or "cdf"."""
+        pts = self._points(t, which)
         if self.mode == "independent":
             return scalar_or_array(pts.prod(axis=-1))
         return self.copula.value(pts)
+
+    def sides(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """sf and cdf at t, each with a row for this system and one for its
+        independent twin, as ``sf`` and ``cdf`` give them, from one evaluation
+        of each marginal and at most one copula call."""
+        parallel = self.n > 1 and self.structure == "parallel"
+        pts = self._points(t, "cdf" if parallel else "sf")
+        twin = pts.prod(axis=-1)  # a lone component's own value
+        dependent = self.mode == "dependent" and self.n > 1
+        joint = np.array([self.copula.value(pts) if dependent else twin, twin])
+        return (1.0 - joint, joint) if parallel else (joint, 1.0 - joint)
 
     def sf(self, t):
         """Survival probability of the system lifetime at t.
@@ -200,23 +202,21 @@ class System:
             return self._joint(t, "cdf")
         return 1.0 - self.sf(t)
 
-    def _rates(self, t, h, which=("sf", "cdf")):
-        """For each side in ``which``, the hazard (``"sf"``) or reversed hazard
-        (``"cdf"``) at each t with the reason each is undefined, then sf at t;
-        all from one evaluation at t and its stencil points: of the cdf for a
-        parallel system of several components, of the sf otherwise, the other
-        side being one minus it, as ``sf`` and ``cdf`` compute it."""
+    def _rates(self, t, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The hazard (row 0) and reversed hazard (row 1) at each t, their
+        reason codes, and sf at t; from one evaluation at t and its stencil
+        points: of the cdf for a parallel system of several components, of the
+        sf otherwise, the other side being one minus it, as ``sf`` and ``cdf``
+        compute it."""
         stencil = Stencil(t, h)
         n = stencil.t.size
-        pts = np.concatenate([stencil.t, stencil.points])
-        if self.n > 1 and self.structure == "parallel":
-            cdf = self.cdf(pts)
-            sf = 1.0 - cdf
-        else:
-            sf = self.sf(pts)
-            cdf = 1.0 - sf
-        sides = {"sf": sf, "cdf": cdf}
-        return [log_rate(stencil, sides[w][:n], sides[w][n:], w) for w in which], sf[:n]
+        parallel = self.n > 1 and self.structure == "parallel"
+        direct = (self.cdf if parallel else self.sf)(np.concatenate([stencil.t, stencil.points]))
+        sf, cdf = (1.0 - direct, direct) if parallel else (direct, 1.0 - direct)
+        sides = np.array([sf, cdf])
+        rate, code = stencil.log_derivative(sides[:, n:], sides[:, :n], (SF_VANISHED, CDF_VANISHED))
+        rate[0] = -rate[0]
+        return rate, code, sf[:n]
 
     def hazard(self, t, h=None):
         """-d/dt ln sf(t) by central differences with an adaptive step.
@@ -224,13 +224,13 @@ class System:
         ``t`` is a number or a one-dimensional array; raises SingularityError at
         the first t where the hazard is undefined.
         """
-        (rate,), _ = self._rates(t, h, ("sf",))
-        return defined_or_raise(t, *rate)
+        rate, code, _ = self._rates(t, h)
+        return defined_or_raise(t, rate[0], code[0])
 
     def reversed_hazard(self, t, h=None):
         """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
-        (rate,), _ = self._rates(t, h, ("cdf",))
-        return defined_or_raise(t, *rate)
+        rate, code, _ = self._rates(t, h)
+        return defined_or_raise(t, rate[1], code[1])
 
     def _mrl(self, t: np.ndarray, sft=None) -> tuple[np.ndarray, list]:
         """Mean residual life at each t of a one-dimensional array and each
@@ -283,9 +283,9 @@ class System:
         array; DomainError if any t <= 0, else SingularityError at the first t
         where it is undefined."""
         if np.any(np.asarray(t) <= 0):
-            raise DomainError(_AI_NEEDS_POSITIVE_T)
-        (rate,), sf = self._rates(t, None, ("sf",))
-        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), *rate, sf))
+            raise DomainError(REASONS[AI_NEEDS_POSITIVE_T])
+        rate, code, sf = self._rates(t, None)
+        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), rate[0], code[0], sf))
 
     def curve(self, grid) -> "ReliabilityCurve":
         return ReliabilityCurve.build(self, grid)
@@ -317,15 +317,15 @@ class ReliabilityCurve:
             raise DomainError("grid must be one-dimensional")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] < 0):
             raise DomainError("grid must be strictly increasing and nonnegative")
-        ((hr, hr_reason), (rhr, rhr_reason)), sf = system._rates(grid, None)
-        ai, ai_reason = _aging_intensity(grid, hr, hr_reason, sf)
+        (hr, rhr), (hr_code, rhr_code), sf = system._rates(grid, None)
+        ai, ai_code = _aging_intensity(grid, hr, hr_code, sf)
         mrl, errors = system._mrl(grid, sf)
-        mrl_reason = np.array([str(e or "") for e in errors], dtype=object)
-        # a column per entry of CURVE_COLUMNS; sf is always defined
-        reasons = np.stack([np.full(grid.shape, ""), hr_reason, rhr_reason, mrl_reason,
-                            ai_reason], axis=-1)
-        flags = tuple((int(i), CURVE_COLUMNS[j], str(reasons[i, j]))
-                      for i, j in zip(*np.nonzero(reasons != "")))
+        # a column per entry of CURVE_COLUMNS, sf always defined, mrl 1 where it is not
+        codes = np.stack([np.zeros_like(hr_code), hr_code, rhr_code,
+                          [e is not None for e in errors], ai_code], axis=-1)
+        flags = tuple((int(i), CURVE_COLUMNS[j],
+                       str(errors[i]) if CURVE_COLUMNS[j] == "mrl" else REASONS[codes[i, j]])
+                      for i, j in zip(*np.nonzero(codes)))
         return ReliabilityCurve(grid=grid, sf=sf, hr=hr, rhr=rhr, mrl=mrl, ai=ai, flags=flags)
 
     def _table(self) -> tuple[tuple[str, ...], list[np.ndarray]]:

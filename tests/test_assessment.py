@@ -206,10 +206,14 @@ def point_by_point_report(p, grid, measure):
                 raw[i], rel[i] = p.sf_error(t)
             elif measure == "hr":
                 raw[i] = p.hr_error(t)
-                rel[i] = raw[i] / p.independent.hazard(t)
+                rate = p.independent.hazard(t)
             else:
                 raw[i] = p.rhr_error(t)
-                rel[i] = raw[i] / p.independent.reversed_hazard(t)
+                rate = p.independent.reversed_hazard(t)
+            if measure != "sf" and rate == 0.0:
+                flags.append((i, "relative error undefined: the independent rate is 0"))
+            elif measure != "sf":
+                rel[i] = raw[i] / rate
         except SingularityError as exc:
             flags.append((i, str(exc)))
     return raw, rel, tuple(flags)
@@ -235,6 +239,16 @@ def test_error_report_matches_point_by_point_reference(case, seed, structure, me
     assert rep.verdict_per_t == reference.verdict_per_t
     np.testing.assert_allclose(rep.raw, raw, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(rep.relative, rel, rtol=1e-9, atol=0.0)
+
+
+def test_row_with_a_zero_independent_rate_keeps_its_error_and_is_flagged():
+    # far out both cdfs are 1 to rounding, so both reversed hazards are 0
+    rep = pair(Fgm(alpha=0.5), "series").error_report([0.0, 30.0, 60.0], measure="rhr")
+    assert rep.raw[1:].tolist() == [0.0, 0.0]
+    assert np.isnan(rep.relative[1:]).all()
+    assert rep.verdict_per_t[1:] == ["zero", "zero"]
+    reason = "relative error undefined: the independent rate is 0"
+    assert rep.flags[1:] == ((1, reason), (2, reason))
 
 
 def test_hr_row_with_vanished_independent_hazard_keeps_its_error():

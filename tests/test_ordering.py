@@ -108,6 +108,43 @@ def test_classify_needs_enough_points():
         classify_monotonicity(lambda t: t, np.linspace(0.1, 1.0, 8))
 
 
+def test_classify_leaves_out_values_that_are_not_finite():
+    grid = np.linspace(0.1, 2.0, 20)
+    # falling, with a 0/0 tail that a NaN step would have hidden
+    verdict = classify_monotonicity(lambda t: np.where(t < 1.75, -t, np.nan), grid)
+    assert verdict.classification == "decreasing"
+    assert verdict.grid.size == 20 and np.isnan(verdict.values[-3:]).all()
+    assert verdict.certified_range == (grid[0], grid[16])
+    # the witnesses come from finite points, never from a NaN step
+    fn = lambda t: np.where((t > 5.0) & (t < 6.0), np.nan, np.sin(t))  # noqa: E731
+    verdict = classify_monotonicity(fn, np.linspace(0.0, 20.0, 40))
+    assert verdict.classification == "non_monotone"
+    for witness in (verdict.increase_witness, verdict.decrease_witness):
+        assert np.isfinite(np.ravel(witness)).all()
+
+
+def test_classify_refuses_fewer_than_16_finite_values():
+    grid = np.linspace(0.1, 2.0, 20)
+    with pytest.raises(DomainError, match="finite"):
+        classify_monotonicity(lambda t: np.where(t < 1.5, -t, np.inf), grid)
+
+
+def test_dim3_marshall_olkin_weibull_series_is_certified_on_its_finite_points():
+    # the third component's survival underflows at the tail of the default
+    # grid, so Chat/Chat1 is 0/0 from t = 11.3 on
+    copula = MarshallOlkin(alpha=(0.714, 1.092, 2.503), dim=3)
+    marginals = (Weibull(1.872, 1.698), Weibull(0.554, 0.899), Weibull(1.469, 2.336))
+    verdict = infer_ordering(copula, marginals, "series")
+    mono = verdict.monotonicity
+    finite = np.isfinite(mono.values)
+    assert np.flatnonzero(~finite).tolist() == [61, 62, 63]
+    assert mono.grid[61] == pytest.approx(11.338, abs=1e-3)
+    assert mono.certified_range == (mono.grid[0], mono.grid[60])
+    assert (mono.classification, verdict.direction) == ("decreasing", "D_le_I")
+    fn = ratio_function(copula, marginals, "Chat_over_Chat1")
+    assert classify_monotonicity(fn, mono.grid[finite]).classification == "decreasing"
+
+
 def one_point_rounds(fn, grid, refine_budget=256, tol_scale=1e-9):
     """The points a classifier evaluating fn one t at a time visits, per round:
     the grid, then the 8x subdivisions of the intervals next to a direction
