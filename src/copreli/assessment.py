@@ -4,8 +4,8 @@ All errors are signed ``dependent minus independent``; a negative value is an
 over-assessment (OA) of the function in question, a positive value an
 under-assessment (UA).  Survival-function errors have closed forms in the
 copula; hazard and reversed-hazard errors are log-derivatives of the
-corresponding ratios and are evaluated by the same central stencil as the
-system hazards, which keeps the two routes consistent to rounding.
+corresponding ratios, taken with both systems' rates from one
+``System._rates`` call, so the two routes agree to rounding.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, SingularityError
 from .marginals import Marginal
-from .numerics import (CDF_VANISHED, DEFINED, IND_SF_VANISHED, REASONS, SF_VANISHED, ZERO_RATE,
-                       Stencil, defined_or_raise, scalar_or_array)
+from .numerics import (DEFINED, IND_SF_VANISHED, REASONS, ZERO_RATE, defined_or_raise,
+                       scalar_or_array)
 from .systems import _SF_FLOOR, System, _raise_first
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
 VERDICT_TOL = 1e-10
 
 MEASURES = ("sf", "hr", "rhr", "mrl")
-
-# the code of each row of SystemPair._rates where its side vanished at t
-_VANISHED = (DEFINED, SF_VANISHED, SF_VANISHED, DEFINED, CDF_VANISHED, CDF_VANISHED)
 
 
 @dataclass(frozen=True)
@@ -79,32 +76,14 @@ class SystemPair:
 
     # --- hazard-type errors (log-ratio derivatives) ------------------------
 
-    def _rates(self, t, h) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of values at every t and their reason codes: the hr error, the
-        dependent and the independent hazard, then the same for rhr; from one
-        ``System.sides`` call and one stacked log-derivative.  An error is the
-        log-derivative of the dependent/independent ratio; the rates are
-        evaluated only where that ratio has a stencil."""
-        stencil = Stencil(t, h)
-        x = np.concatenate([stencil.t[stencil.interior], stencil.points])
-        k = x.size - stencil.points.size
-        rows, at = [], np.full((6, stencil.t.size), np.nan)
-        for i, (dep, ind) in enumerate(self.dependent.sides(x)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rows += [dep[k:] / ind[k:], dep[k:], ind[k:]]
-            at[3 * i + 1, stencil.interior], at[3 * i + 2, stencil.interior] = dep[:k], ind[:k]
-        rate, code = stencil.log_derivative(np.array(rows), at, _VANISHED)
-        rate[:3] = -rate[:3]  # hazards are -d/dt ln sf
-        return rate, code
-
     def hr_error(self, t, h=None):
         """Hazard-rate error: -d/dt ln( sf_dep / sf_ind ), at a number or an array."""
-        rate, code = self._rates(t, h)
+        rate, code, _ = self.dependent._rates(t, h)
         return defined_or_raise(t, rate[0], code[0])
 
     def rhr_error(self, t, h=None):
         """Reversed-hazard error: +d/dt ln( cdf_dep / cdf_ind ), at a number or an array."""
-        rate, code = self._rates(t, h)
+        rate, code, _ = self.dependent._rates(t, h)
         return defined_or_raise(t, rate[3], code[3])
 
     def mrl_error(self, t):
@@ -135,7 +114,7 @@ class SystemPair:
             if measure == "sf":
                 raw, rel, code = self._sf_errors(grid)
             else:
-                rate, codes = self._rates(grid, None)
+                rate, codes, _ = self.dependent._rates(grid, None)
                 row = 0 if measure == "hr" else 3
                 raw, code, ind, ind_code = rate[row], codes[row], rate[row + 2], codes[row + 2]
                 code = np.where(code == DEFINED, ind_code, code)

@@ -52,13 +52,21 @@ MAX_POINCARE_DIM = 20
 _TINY = np.finfo(float).tiny
 
 
+def _boolean(text: str) -> bool:
+    """true/1/yes or false/0/no, in any case; ValueError otherwise."""
+    word = text.lower()
+    if word not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(text)
+    return word in ("true", "1", "yes")
+
+
 def _as_points(u, dim: int) -> np.ndarray:
     pts = np.asarray(u, dtype=float)
     if pts.shape[-1:] != (dim,):
         raise DomainError(
             f"point has {pts.shape[-1] if pts.ndim else 0} coordinates, copula has dimension {dim}"
         )
-    if np.any((pts < 0.0) | (pts > 1.0)):
+    if ((pts < 0.0) | (pts > 1.0)).any():
         raise DomainError("copula arguments must lie in the unit hypercube")
     return pts
 
@@ -613,7 +621,7 @@ def parse_copula(spec: str) -> Copula:
         if f.name == "dim":
             continue
         if f.type == "bool":
-            params[f.name] = kv.pop(f.name, "false").lower() in ("true", "1", "yes")
+            params[f.name] = f.name in kv and take(f.name, _boolean, "yes/no, true/false or 1/0")
         elif f.type.startswith("tuple"):
             count = next(i for i in itertools.count(1) if f"{f.name}{i}" not in kv) - 1
             if not count:

@@ -28,14 +28,14 @@ __all__ = [
 
 def _check_time(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise DomainError("lifetime argument t must be >= 0")
     return t
 
 
 def _check_prob(p):
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p >= 1)):
+    if ((p < 0) | (p >= 1)).any():
         raise DomainError("probability argument must lie in [0, 1)")
     return p
 

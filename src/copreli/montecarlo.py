@@ -34,7 +34,7 @@ from .copulas import Copula
 from .exceptions import DomainError, SamplingError, SingularityError
 from .marginals import Marginal
 from .numerics import DEFINED, REASONS, adaptive_step, complex_step, richardson_pair
-from .assessment import SystemPair
+from .systems import System
 
 __all__ = [
     "SampleBatch",
@@ -235,8 +235,8 @@ def finite_difference_audit(copula: Copula, marginals, grid) -> AuditResult:
     h = adaptive_step(grid)
     out: dict[str, float] = {}
     for structure in ("series", "parallel"):
-        pair = SystemPair(copula=copula, marginals=marginals, structure=structure)
-        (rate_h, code_h), (rate_h2, code_h2) = pair._rates(grid, h), pair._rates(grid, h / 2)
+        system = System(marginals, structure, "dependent", copula)
+        (rate_h, code_h, _), (rate_h2, code_h2, _) = (system._rates(grid, s) for s in (h, h / 2))
         for measure, ident in (("hr", 0), ("rhr", 3)):
             dep, ind = ident + 1, ident + 2
             # rows in the order a point-by-point audit meets them at each t:

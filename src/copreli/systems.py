@@ -8,9 +8,10 @@ distribution function of the parallel system is the formula applied to the
 marginal distribution values.  Under the independence assumption both
 collapse to plain products.
 
-All aging functions (hazard, reversed hazard, mean residual life, aging
-intensity) are computed numerically from the survival function, since no
-closed-form densities exist for general families.
+``System.sides`` is the one place where marginals meet the copula; ``sf`` and
+``cdf`` read its rows.  No closed-form densities exist for general families,
+so one stencil routine (``System._rates``) takes every rate of a system and
+its independent twin, and their log-ratio errors, from one ``sides`` call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import tables
 from .copulas import Copula
 from .exceptions import DomainError, IntegrationError, SingularityError
-from .marginals import Marginal
+from .marginals import Marginal, _check_time
 from .numerics import (AI_NEEDS_POSITIVE_T, AI_UNDEFINED, CDF_VANISHED, DEFINED, REASONS,
                        SF_VANISHED, Stencil, defined_or_raise, scalar_or_array)
 
@@ -31,6 +32,9 @@ __all__ = ["System", "ReliabilityCurve", "CURVE_COLUMNS"]
 CURVE_COLUMNS = ("sf", "hr", "rhr", "mrl", "ai")
 
 _SF_FLOOR = 1e-12
+
+# the code of each row of System._rates where its side vanished at t
+_VANISHED = (DEFINED, SF_VANISHED, SF_VANISHED, DEFINED, CDF_VANISHED, CDF_VANISHED)
 
 
 def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,79 +162,61 @@ class System:
     def n(self) -> int:
         return len(self.marginals)
 
-    def _points(self, t, which: str) -> np.ndarray:
-        """The marginals' ``which`` values ("sf" or "cdf") at t, one row per t."""
-        pts = np.array([getattr(m, which)(t) for m in self.marginals]).T
-        if pts.ndim > 2:
-            raise DomainError("t must be a number or a one-dimensional array")
-        return pts
-
-    def _joint(self, t, which: str):
-        """The copula, or the product when independent, at the marginals' ``which``
-        values at t, where ``which`` is "sf" or "cdf"."""
-        pts = self._points(t, which)
-        if self.mode == "independent":
-            return scalar_or_array(pts.prod(axis=-1))
-        return self.copula.value(pts)
-
     def sides(self, t) -> tuple[np.ndarray, np.ndarray]:
         """sf and cdf at t, each with a row for this system and one for its
-        independent twin, as ``sf`` and ``cdf`` give them, from one evaluation
-        of each marginal and at most one copula call."""
+        independent twin; the copula (or the product) at the marginals' cdf
+        values for a parallel system of several components and at their sf
+        values otherwise, the other side one minus it."""
         parallel = self.n > 1 and self.structure == "parallel"
-        pts = self._points(t, "cdf" if parallel else "sf")
+        pts = np.array([(m.cdf if parallel else m.sf)(t) for m in self.marginals]).T
+        if pts.ndim > 2:
+            raise DomainError("t must be a number or a one-dimensional array")
         twin = pts.prod(axis=-1)  # a lone component's own value
         dependent = self.mode == "dependent" and self.n > 1
         joint = np.array([self.copula.value(pts) if dependent else twin, twin])
         return (1.0 - joint, joint) if parallel else (joint, 1.0 - joint)
 
     def sf(self, t):
-        """Survival probability of the system lifetime at t.
-
-        ``t`` is a number or a one-dimensional array of times; the result is a
-        float or an array of the same length.
-        """
-        if self.n == 1:
-            return self.marginals[0].sf(t)
-        if self.structure == "series":
-            return self._joint(t, "sf")
-        return 1.0 - self._joint(t, "cdf")
+        """Survival probability of the system lifetime at t, a number or a
+        one-dimensional array of times; a float or an array of the same length."""
+        return scalar_or_array(self.sides(t)[0][0])
 
     def cdf(self, t):
         """Distribution function of the system lifetime at t, shaped like ``sf``."""
-        if self.n > 1 and self.structure == "parallel":
-            return self._joint(t, "cdf")
-        return 1.0 - self.sf(t)
+        return scalar_or_array(self.sides(t)[1][0])
 
     def _rates(self, t, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The hazard (row 0) and reversed hazard (row 1) at each t, their
-        reason codes, and sf at t; from one evaluation at t and its stencil
-        points: of the cdf for a parallel system of several components, of the
-        sf otherwise, the other side being one minus it, as ``sf`` and ``cdf``
-        compute it."""
+        """Six rows of values at each t, their reason codes, and sf at each t
+        the marginals accept (all but t < 0): the hr error (the log-derivative
+        of this system's sf over its twin's), this system's hazard and its
+        twin's, then the same three for the reversed hazard (cdf); from one
+        ``sides`` call at those t and the stencil points."""
         stencil = Stencil(t, h)
-        n = stencil.t.size
-        parallel = self.n > 1 and self.structure == "parallel"
-        direct = (self.cdf if parallel else self.sf)(np.concatenate([stencil.t, stencil.points]))
-        sf, cdf = (1.0 - direct, direct) if parallel else (direct, 1.0 - direct)
-        sides = np.array([sf, cdf])
-        rate, code = stencil.log_derivative(sides[:, n:], sides[:, :n], (SF_VANISHED, CDF_VANISHED))
-        rate[0] = -rate[0]
-        return rate, code, sf[:n]
+        kept = ~(stencil.t < 0.0)
+        k = np.count_nonzero(kept)
+        sides = self.sides(np.concatenate([stencil.t[kept], stencil.points]))
+        rows, at = [], np.full((6, stencil.t.size), np.nan)
+        for i, (own, twin) in enumerate(sides):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows += [own[k:] / twin[k:], own[k:], twin[k:]]
+            at[3 * i + 1, kept], at[3 * i + 2, kept] = own[:k], twin[:k]
+        rate, code = stencil.log_derivative(np.array(rows), at, _VANISHED)
+        rate[:3] = -rate[:3]  # hazards are -d/dt ln sf
+        return rate, code, sides[0][0, :k]
 
     def hazard(self, t, h=None):
         """-d/dt ln sf(t) by central differences with an adaptive step.
 
-        ``t`` is a number or a one-dimensional array; raises SingularityError at
-        the first t where the hazard is undefined.
+        ``t`` is a number or a one-dimensional array; raises DomainError if any
+        t < 0, else SingularityError at the first t where it is undefined.
         """
-        rate, code, _ = self._rates(t, h)
-        return defined_or_raise(t, rate[0], code[0])
+        rate, code, _ = self._rates(_check_time(t), h)
+        return defined_or_raise(t, rate[1], code[1])
 
     def reversed_hazard(self, t, h=None):
         """+d/dt ln cdf(t) by central differences, shaped and raising like ``hazard``."""
-        rate, code, _ = self._rates(t, h)
-        return defined_or_raise(t, rate[1], code[1])
+        rate, code, _ = self._rates(_check_time(t), h)
+        return defined_or_raise(t, rate[4], code[4])
 
     def _mrl(self, t: np.ndarray, sft=None) -> tuple[np.ndarray, list]:
         """Mean residual life at each t of a one-dimensional array and each
@@ -285,7 +271,7 @@ class System:
         if np.any(np.asarray(t) <= 0):
             raise DomainError(REASONS[AI_NEEDS_POSITIVE_T])
         rate, code, sf = self._rates(t, None)
-        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), rate[0], code[0], sf))
+        return defined_or_raise(t, *_aging_intensity(np.atleast_1d(t), rate[1], code[1], sf))
 
     def curve(self, grid) -> "ReliabilityCurve":
         return ReliabilityCurve.build(self, grid)
@@ -317,16 +303,16 @@ class ReliabilityCurve:
             raise DomainError("grid must be one-dimensional")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] < 0):
             raise DomainError("grid must be strictly increasing and nonnegative")
-        (hr, rhr), (hr_code, rhr_code), sf = system._rates(grid, None)
-        ai, ai_code = _aging_intensity(grid, hr, hr_code, sf)
+        rate, code, sf = system._rates(grid, None)
+        ai, ai_code = _aging_intensity(grid, rate[1], code[1], sf)
         mrl, errors = system._mrl(grid, sf)
         # a column per entry of CURVE_COLUMNS, sf always defined, mrl 1 where it is not
-        codes = np.stack([np.zeros_like(hr_code), hr_code, rhr_code,
+        codes = np.stack([np.zeros_like(ai_code), code[1], code[4],
                           [e is not None for e in errors], ai_code], axis=-1)
         flags = tuple((int(i), CURVE_COLUMNS[j],
                        str(errors[i]) if CURVE_COLUMNS[j] == "mrl" else REASONS[codes[i, j]])
                       for i, j in zip(*np.nonzero(codes)))
-        return ReliabilityCurve(grid=grid, sf=sf, hr=hr, rhr=rhr, mrl=mrl, ai=ai, flags=flags)
+        return ReliabilityCurve(grid, sf, rate[1], rate[4], mrl, ai, flags)
 
     def _table(self) -> tuple[tuple[str, ...], list[np.ndarray]]:
         return ("t",) + CURVE_COLUMNS, [self.grid, *(getattr(self, n) for n in CURVE_COLUMNS)]

@@ -65,6 +65,16 @@ def test_eval_rejects_a_dim_that_contradicts_the_vector(capsys):
     assert "alpha has 2 entries for dimension 3" in err
 
 
+def test_eval_rejects_a_bad_boolean_in_the_copula_spec(capsys):
+    code, out, err = run(
+        capsys, "eval", "--copula", "fischer_hinzmann:m=2,alpha=0.5,corrected=maybe",
+        "--marginal", "exp:1", "--marginal", "exp:1", "--mode", "dependent",
+    )
+    assert code == EXIT_CONFIG
+    assert not out
+    assert "corrected='maybe'" in err
+
+
 def test_eval_rejects_empty_grid(capsys):
     code, _, err = run(
         capsys, "eval", "--marginal", "exp:1", "--grid-count", "0",

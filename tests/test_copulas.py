@@ -466,6 +466,22 @@ def test_parse_copula_error_messages(bad, message, token):
     assert err.value.token == token
 
 
+@pytest.mark.parametrize("word,corrected", [("true", True), ("YES", True), ("1", True),
+                                            ("False", False), ("no", False), ("0", False)])
+def test_parse_copula_reads_a_boolean_in_any_case(word, corrected):
+    cop = parse_copula(f"fischer_hinzmann:m=2,alpha=0.5,corrected={word}")
+    assert cop.corrected is corrected
+    assert parse_copula(cop.spec_string()) == cop
+
+
+@pytest.mark.parametrize("word", ["maybe", "2", "on"])
+def test_parse_copula_refuses_a_bad_boolean(word):
+    spec = f"fischer_hinzmann:m=2,alpha=0.5,corrected={word}"
+    with pytest.raises(ConfigError) as err:
+        parse_copula(spec)
+    assert err.value.token == word
+
+
 def test_vector_families_infer_dim_only_when_it_is_not_given():
     assert MarshallOlkin(alpha=(1.0, 2.0, 3.0)).dim == 3
     assert MarshallOlkin(alpha=(1.0, 2.0, 3.0)).spec_string() == \

@@ -1,12 +1,12 @@
 """One evaluation per system pair: the shared path against System-by-System.
 
 ``System.sides`` gives a system and its independent twin from one
-evaluation of each marginal and at most one copula call; the error tables,
-the audit and the ordering checks take every value from it.  The reference
-here computes each row with its own ``System.sf``/``System.cdf`` call, and
-every number, flag, reason and raised error must agree bit for bit.  The
-counting tests pin how many kernel, marginal and log-derivative calls each
-analysis makes, without timing anything.
+evaluation of each marginal and at most one copula call; ``System.sf`` and
+``cdf``, the rates, the error tables, the audit and the ordering checks take
+every value from it.  The reference here computes each system on its own,
+from the formulas, and every number, flag, reason and raised error must
+agree bit for bit.  The counting tests pin how many kernel, marginal and
+log-derivative calls each analysis makes, without timing anything.
 """
 
 import contextlib
@@ -36,9 +36,17 @@ from copreli.ordering import RATIO_KINDS
 
 
 def system_by_system_sides(self, t):
-    """``System.sides`` from one sf and one cdf call per system."""
-    twin = System(self.marginals, self.structure, "independent")
-    return (np.stack([self.sf(t), twin.sf(t)]), np.stack([self.cdf(t), twin.cdf(t)]))
+    """``System.sides`` from the formulas, one system at a time: the copula, or
+    the product, at the marginals' cdf values for a parallel system of two or
+    more components and at their sf values otherwise."""
+    parallel = self.structure == "parallel" and self.n > 1
+
+    def value(dependent):
+        pts = np.array([(m.cdf if parallel else m.sf)(t) for m in self.marginals]).T
+        return self.copula.value(pts) if dependent else pts.prod(axis=-1)
+
+    joint = np.array([value(self.mode == "dependent" and self.n > 1), value(False)])
+    return (1.0 - joint, joint) if parallel else (joint, 1.0 - joint)
 
 
 def outcome(fn, *args, **kwargs):

@@ -410,6 +410,26 @@ def test_hazard_singularity_deep_in_tail():
         make("parallel", "independent").reversed_hazard(0.0)
 
 
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+@pytest.mark.parametrize("t", [-0.5, np.array([0.5, -0.5, 1.0])])
+def test_rates_refuse_a_negative_time(structure, t):
+    system = make(structure, "dependent", Fgm(alpha=0.5), (E1, Weibull(1.2, 1.7)))
+    for rate in (system.hazard, system.reversed_hazard):
+        with pytest.raises(DomainError, match="lifetime argument t must be >= 0"):
+            rate(t)
+    with pytest.raises(DomainError):
+        system.ai(t)
+
+
+@pytest.mark.parametrize("marginals", [(E1,), (E1, E2)])
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+def test_sf_and_cdf_refuse_a_two_dimensional_time(marginals, structure):
+    system = make(structure, "independent", marginals=marginals)
+    for side in (system.sf, system.cdf):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            side(np.full((2, 3), 0.5))
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
         make("series", "dependent")  # no copula
@@ -494,9 +514,9 @@ def test_curve_values_and_flags():
 def test_curve_evaluates_its_stencil_once(structure, monkeypatch):
     # sf, hr, rhr and mrl share one evaluation at the grid and its stencil points
     sizes = []
-    joint = System._joint
-    monkeypatch.setattr(System, "_joint",
-                        lambda self, t, which: sizes.append(np.size(t)) or joint(self, t, which))
+    sides = System.sides
+    monkeypatch.setattr(System, "sides",
+                        lambda self, t: sizes.append(np.size(t)) or sides(self, t))
     grid = np.linspace(0.1, 3.0, 25)
     make(structure, "dependent", Fgm(alpha=0.5), (E1, Weibull(1.2, 1.7))).curve(grid)
     assert sizes.count(3 * grid.size) == 1 and grid.size not in sizes
