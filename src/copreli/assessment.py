@@ -126,11 +126,14 @@ class SystemPair:
                            structure=self.structure, flags=flags)
 
     def _mrl_errors(self, t) -> tuple[np.ndarray, np.ndarray, list]:
-        """(raw, relative, error) mean-residual-life errors at each t, from one
-        batched quadrature per system; the error (None where defined) is the
-        dependent system's at that t, else the independent one's."""
+        """(raw, relative, error) mean-residual-life errors at each t, from both
+        systems' sf at t in one ``sides`` call and one batched quadrature per
+        system; the error (None where defined) is the dependent system's at
+        that t, else the independent one's."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        (dep, dep_errors), (ind, ind_errors) = self.dependent._mrl(t), self.independent._mrl(t)
+        sft = self.dependent.sides(t)[0]
+        (dep, dep_errors), (ind, ind_errors) = (self.dependent._mrl(t, sft[0]),
+                                                self.independent._mrl(t, sft[1]))
         errors = [d or i for d, i in zip(dep_errors, ind_errors)]
         raw = np.where([e is None for e in errors], dep - ind, np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):

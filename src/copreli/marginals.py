@@ -28,7 +28,7 @@ __all__ = [
 
 def _check_time(t):
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if not (t >= 0).all():
         raise DomainError("lifetime argument t must be >= 0")
     return t
 

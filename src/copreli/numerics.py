@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .exceptions import SingularityError
+from .exceptions import DomainError, SingularityError
 
 __all__ = [
     "scalar_or_array",
@@ -72,6 +72,8 @@ class Stencil:
 
     def __init__(self, t, h=None):
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.ndim > 1:
+            raise DomainError("t must be a number or a one-dimensional array")
         h = adaptive_step(t) if h is None else np.asarray(h, dtype=float)
         h = np.where(t - h <= 0.0, t / 2.0, h)
         self.t, self.h, self.interior = t, h, h > 0.0

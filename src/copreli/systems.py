@@ -60,14 +60,6 @@ _RTOL = 1e-8
 _ATOL = 1e-14
 
 
-def _sums(values: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    """Sum of ``values`` per owner, for owners in sorted runs; 0 where none."""
-    out = np.zeros(n)
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    out[owner[starts]] = np.add.reduceat(values, starts)
-    return out
-
-
 def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [a[i], b[i]] of ``f``, which maps an array of points to an
     array, and the mask of those that failed (NaN).
@@ -77,8 +69,8 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     with its 21-point value to within its share, by width, of
     max(_ATOL, _RTOL * |integral|); the others are halved.  An integral fails
     when its partition would exceed _MAX_PANELS panels.  Each integral's panels
-    stay in the order a lone call keeps them and every sum is per panel or per
-    integral, so each value is the one the integral gets alone.
+    stay in the order a lone call keeps them and ``np.bincount`` adds them in
+    that order, so each value is the one the integral gets alone.
     """
     edges = np.linspace(a, b, _START_PANELS + 1, axis=-1)
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
@@ -95,9 +87,9 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         gauss10 = half * (values[:, 21:31] * _GAUSS10[1]).sum(axis=1)
         lobatto12 = half * (values[:, 31:] * _LOBATTO12[1]).sum(axis=1)
         error = np.maximum(np.abs(best - gauss10), np.abs(best - lobatto12))
-        tol = np.maximum(_ATOL, _RTOL * np.abs(settled + _sums(best, owner, a.size)))
+        tol = np.maximum(_ATOL, _RTOL * np.abs(settled + np.bincount(owner, best, a.size)))
         done = error <= tol[owner] * (hi - lo) / (b - a)[owner]
-        settled += _sums(best[done], owner[done], a.size)
+        settled += np.bincount(owner[done], best[done], a.size)
         panels += np.bincount(owner[~done], minlength=a.size)
         failed |= panels > _MAX_PANELS
         keep = ~done & ~failed[owner]
@@ -222,7 +214,11 @@ class System:
         """Mean residual life at each t of a one-dimensional array and each
         point's error (None where it is defined), from sf at t (``sft``, one sf
         call if not given), one sf call at the truncation candidates of the
-        points above _SF_FLOOR and one batched quadrature."""
+        points above _SF_FLOOR and one batched quadrature of the gaps between
+        the distinct t that decay and one tail to the farthest truncation
+        point.  A t's integral is the sum of the pieces from it on: each piece
+        is >= 0 and within the tolerance relative to itself, so the sum is too,
+        and a failed piece fails every sum that holds it."""
         if sft is None:
             sft = self.sf(t)
         errors = [SingularityError("survival function vanished", t=x) if s <= _SF_FLOOR
@@ -240,7 +236,11 @@ class System:
         k = np.argmax((uppers >= cap[:, None]) | ~(values > 1e-12 * sft[:, None]), axis=1)
         upper, values = (x[np.arange(k.size), k] for x in (uppers, values))
         decays = ~(values > 1e-6 * sft)
-        integral, failed = _integrate(self.sf, start[decays], upper[decays])
+        left, owner = np.unique(start[decays], return_inverse=True)
+        right = np.append(left[1:], upper[decays].max()) if left.size else left
+        pieces, bad = _integrate(self.sf, left, right)
+        integral = np.cumsum(pieces[::-1])[::-1][owner]
+        failed = np.logical_or.accumulate(bad[::-1])[::-1][owner]
         mrl = np.full(t.shape, np.nan)
         mrl[live[decays]] = integral / sft[decays]
         for i in np.flatnonzero(~decays):
@@ -255,10 +255,12 @@ class System:
         """Mean residual life: integral of sf over (t, inf) divided by sf(t).
 
         ``t`` is a number or a one-dimensional array; raises the error of the
-        first t where it is undefined.  The integral is truncated at the first
-        of t + s, t + 2s, t + 4s, ... (s the largest component mean, capped at
-        t + 50s) where sf has fallen to 1e-12 of sf(t).  The candidates of all
-        t are evaluated in one sf call, and the integrals in one quadrature.
+        first t where it is undefined.  A t is refused unless sf falls to 1e-6
+        of sf(t) by the first of t + s, t + 2s, t + 4s, ... (s the largest
+        component mean, capped at t + 50s) where it has fallen to 1e-12 of
+        sf(t); the integral then runs to the farthest such point of all t.  The
+        candidates of all t are evaluated in one sf call, and the integrals
+        from one quadrature of the gaps between the t and one shared tail.
         """
         values, errors = self._mrl(np.atleast_1d(np.asarray(t, dtype=float)))
         _raise_first(errors)

@@ -89,6 +89,25 @@ def wide_grid(marginals, points: int = 15) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(1e-4, hi, points)])
 
 
+def assert_same_integrals(mrl, expected, sf):
+    """The integrals mrl * sf and expected * sf agree to within the quadrature's
+    own tolerance, max(_ATOL, _RTOL |integral|), and are NaN in the same cells.
+
+    Every piece of an mrl integral is settled to that tolerance relative to
+    itself and every piece is >= 0, so a sum of pieces meets it too; values
+    computed over different pieces (a grid against lone points) agree to it
+    but not bit for bit.
+    """
+    from copreli.systems import _ATOL, _RTOL
+
+    mrl, expected, sf = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (mrl, expected, sf))
+    np.testing.assert_array_equal(np.isnan(mrl), np.isnan(expected))
+    defined = ~np.isnan(expected)
+    got, want = mrl[defined] * sf[defined], expected[defined] * sf[defined]
+    excess = np.abs(got - want) / np.maximum(_ATOL, _RTOL * np.abs(want))
+    assert np.all(excess <= 1.0), f"integrals differ by {excess.max()} of the tolerance"
+
+
 @contextmanager
 def deadline(seconds: int):
     """Fail with TimeoutError instead of hanging when the block runs too long."""

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_CASES, deadline, random_instance, random_marginals, wide_grid
+from conftest import (FAMILY_CASES, assert_same_integrals, deadline, random_instance,
+                      random_marginals, wide_grid)
 from copreli import (
     Clayton,
     CopreliError,
@@ -308,11 +309,10 @@ def test_series_hr_where_the_independent_sf_underflows():
 
 
 def looped_mrl_report(p, grid):
-    """(raw, relative, flags) of the one-t-at-a-time loop: at each t the
-    dependent system first, a SingularityError flags the row, any other
-    error propagates."""
-    raw = np.full(grid.shape, np.nan)
-    rel = np.full(grid.shape, np.nan)
+    """(dependent mrl, independent mrl, flags) of the one-t-at-a-time loop: at
+    each t the dependent system first, a SingularityError flags the row (both
+    mrl NaN), any other error propagates."""
+    mrl = np.full((2, grid.size), np.nan)
     flags = []
     for i, t in enumerate(grid):
         try:
@@ -321,9 +321,8 @@ def looped_mrl_report(p, grid):
         except SingularityError as exc:
             flags.append((i, str(exc)))
             continue
-        raw[i] = dep - ind
-        rel[i] = raw[i] / ind
-    return raw, rel, tuple(flags)
+        mrl[:, i] = dep, ind
+    return mrl, tuple(flags)
 
 
 def outcome(call):
@@ -334,16 +333,25 @@ def outcome(call):
 
 
 def assert_mrl_report_matches_the_loop(p, grid):
+    """The report's refusals and flags are the loop's exactly; each system's
+    mrl is the loop's to within the quadrature's tolerance, and raw and
+    relative are formed from those two values."""
     expected = outcome(lambda: looped_mrl_report(p, grid))
     report = outcome(lambda: p.error_report(grid, measure="mrl"))
     if isinstance(expected, CopreliError):
         assert type(report) is type(expected)
         assert str(report) == str(expected)
         return
-    raw, rel, flags = expected
+    mrl, flags = expected
     assert report.flags == flags
-    np.testing.assert_array_equal(report.raw, raw)
-    np.testing.assert_array_equal(report.relative, rel)
+    sf = p.dependent.sides(grid)[0]
+    dep, ind = (np.where(np.isnan(mrl[0]), np.nan, system._mrl(grid)[0])
+                for system in (p.dependent, p.independent))
+    for got, want, side in zip((dep, ind), mrl, sf):
+        assert_same_integrals(got, want, side)
+    np.testing.assert_array_equal(report.raw, dep - ind)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(report.relative, (dep - ind) / ind)
 
 
 @given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1),
@@ -372,6 +380,14 @@ FISCHER_HINZMANN = parse_copula("fischer_hinzmann:m=2.0,alpha=0.5")
 ])
 def test_mrl_report_matches_the_loop_on_refusals_and_vanished_rows(copula, structure, grid):
     assert_mrl_report_matches_the_loop(pair(copula, structure, (E1, E2)), np.array(grid))
+
+
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+def test_error_rates_refuse_a_two_dimensional_time(structure):
+    p = pair(Fgm(alpha=0.5), structure, (E1, E2))
+    for error in (p.hr_error, p.rhr_error):
+        with pytest.raises(DomainError, match="t must be a number or a one-dimensional array"):
+            error(np.full((2, 2), 0.5))
 
 
 def test_mrl_error_follows_the_scalar_rule_and_the_loop_order():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import copreli.systems
 from conftest import (
     FAMILY_CASES,
+    assert_same_integrals,
     deadline,
     families_for_dim,
     random_instance,
@@ -326,9 +328,10 @@ def test_array_mrl_matches_a_one_point_loop(case, seed, structure, mode):
     system = System(marginals, structure, mode, random_instance(family, rng, dim))
     grid = wide_grid(marginals)
     values, first = one_point_mrl(system, grid)
-    np.testing.assert_array_equal(system.mrl(grid[:values.size]), values)
+    head = grid[:values.size]
+    assert_same_integrals(system.mrl(head), values, system.sf(head))
     if first is None:
-        np.testing.assert_array_equal(system.mrl(grid), values)
+        assert_same_integrals(system.mrl(grid), values, system.sf(grid))
     else:
         with pytest.raises(CopreliError) as info:
             system.mrl(grid)
@@ -347,6 +350,69 @@ def test_mrl_takes_a_number_or_an_array():
     with pytest.raises(SingularityError, match="survival function vanished") as info:
         s.mrl(np.array([0.5, 60.0, 70.0]))
     assert info.value.t == 60.0
+
+
+def test_mrl_of_unsorted_and_repeated_times():
+    # the grid path sorts the distinct starts; a repeated t gets the same value
+    s = make("parallel", "dependent", Clayton(alpha=2.0), (E1, Weibull(0.7, 1.8)))
+    t = np.array([2.0, 0.5, 2.0, 0.0, 1.0])
+    out = s.mrl(t)
+    assert out[0] == out[2]
+    assert_same_integrals(out, [s.mrl(float(x)) for x in t], s.sf(t))
+
+
+def test_a_failed_piece_fails_every_mrl_that_contains_it(monkeypatch):
+    # the pieces are [0.5, 1], [1, 2], [2, 3] and the tail; failing [1, 2]
+    # fails t = 0.5 and 1 with their own intervals in the message, not t = 2, 3
+    real = copreli.systems._integrate
+
+    def fail_second(f, a, b):
+        values, failed = real(f, a, b)
+        failed[1] = True
+        return np.where(failed, np.nan, values), failed
+
+    s = make("series", "dependent", Fgm(alpha=0.5), (E1, E2))
+    t = np.array([3.0, 1.0, 0.5, 2.0, 1.0])
+    expected = s.mrl(t)
+    monkeypatch.setattr(copreli.systems, "_integrate", fail_second)
+    mrl, errors = s._mrl(t)
+    np.testing.assert_array_equal(np.isnan(mrl), [False, True, True, False, True])
+    np.testing.assert_array_equal(mrl[[0, 3]], expected[[0, 3]])
+    assert [type(e) for e in errors] == [type(None), IntegrationError, IntegrationError,
+                                         type(None), IntegrationError]
+    assert str(errors[2]) == "quadrature on (0.5, 16.5) did not converge within 200 panels"
+
+
+def mp_sf(system, t):
+    """System sf at an mpmath time, from the marginals and the copula kernel
+    at mpmath precision."""
+    sf = [mpmath.exp(-m.lam * t) if isinstance(m, Exponential)
+          else mpmath.exp(-(m.lam * t) ** m.k) for m in system.marginals]
+    if system.structure == "series":
+        return system.copula._raw(np.array([sf], dtype=object))[0]
+    return 1 - system.copula._raw(np.array([[1 - x for x in sf]], dtype=object))[0]
+
+
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+@pytest.mark.parametrize("copula", [Clayton(alpha=2.5), Fgm(alpha=-0.6), Amh(alpha=0.7),
+                                    Clayton(alpha=0.6, dim=3), Fgm(alpha=0.8, dim=3),
+                                    Amh(alpha=-0.5, dim=3)], ids=repr)
+def test_grid_mrl_matches_an_mpmath_reference(copula, structure):
+    # a reference that shares only the copula kernel with the grid path:
+    # tanh-sinh quadrature of sf over (t, inf) at 17 digits, one t at a time
+    marginals = (Exponential(1.3), Weibull(0.7, 1.8), Weibull(1.1, 0.8))[:copula.dim]
+    system = System(marginals, structure, "dependent", copula)
+    curve = system.curve(wide_grid(marginals, points=6))
+    checked = 0
+    with mpmath.workdps(17):
+        for t, sf, mrl in zip(curve.grid, curve.sf, curve.mrl):
+            if sf < 1e-9:
+                continue
+            x = mpmath.mpf(float(t))
+            tail = mpmath.quad(lambda u: mp_sf(system, u), [x, x + 4.0, mpmath.inf])
+            assert mrl == pytest.approx(float(tail / mp_sf(system, x)), rel=1e-9, abs=0.0)
+            checked += 1
+    assert checked >= 4
 
 
 def test_a_far_tail_point_does_not_stall_the_truncation_search():
@@ -428,6 +494,22 @@ def test_sf_and_cdf_refuse_a_two_dimensional_time(marginals, structure):
     for side in (system.sf, system.cdf):
         with pytest.raises(DomainError, match="one-dimensional"):
             side(np.full((2, 3), 0.5))
+
+
+@pytest.mark.parametrize("structure", ["series", "parallel"])
+def test_rates_refuse_a_two_dimensional_time(structure):
+    system = make(structure, "dependent", Fgm(alpha=0.5), (E1, E2))
+    for rate in (system.hazard, system.reversed_hazard, system.ai):
+        with pytest.raises(DomainError, match="t must be a number or a one-dimensional array"):
+            rate(np.full((2, 2), 0.5))
+
+
+def test_a_nan_time_is_refused():
+    system = make("series", "dependent", Fgm(alpha=0.5), (E1, E2))
+    for call, t in ((system.curve, [np.nan, 1.0]), (system.mrl, [1.0, np.nan]),
+                    (system.hazard, np.nan)):
+        with pytest.raises(DomainError, match="lifetime argument t must be >= 0"):
+            call(t)
 
 
 def test_spec_validation():
@@ -617,8 +699,10 @@ def test_curve_matches_a_one_point_loop(system, grid):
     curve = system.curve(grid)
     cols, flags = one_point_curve(system, grid)
     assert list(curve.flags) == flags  # same rows, columns, order and text
-    for name in ("hr", "rhr", "mrl"):
+    for name in ("hr", "rhr"):
         np.testing.assert_array_equal(getattr(curve, name), cols[name], err_msg=name)
+    # the grid's mrl integrates the gaps between grid points, a lone point its own tail
+    assert_same_integrals(curve.mrl, cols["mrl"], curve.sf)
     # sf and ai are the array calls' values, which may differ from one-point
     # calls by a few ulps of 1 in sf (see test_array_times_match_scalar_calls);
     # ai inherits that through -ln sf
