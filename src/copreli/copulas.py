@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -80,23 +82,60 @@ class Copula:
     part in ``survival_value``, because the substitution it suggests is exact
     only for the bivariate FGM family.
 
+    Each family declares its parameters once, as class data that validation,
+    ``parse_copula`` and ``spec_string`` read.  ``domain`` maps every field
+    but the boolean flags, in order, to ``(low, high, brackets)`` such as
+    ``(0.0, inf, "(]")`` (values must also be finite); its ``dim`` entry is
+    None for any integer >= 2, or the one dimension the family takes.
+    ``vectors`` names the fields holding one value per coordinate; each entry
+    obeys the field's interval, and ``dim`` defaults to the first one's
+    length.  A new family is a frozen dataclass giving ``family``,
+    ``domain``, ``vectors`` if any, ``_raw`` and, for a kernel that switches
+    branch, ``_switch_v2``.
+
     Parameters are checked once, when an instance is built: an instance
-    outside its family's domain raises DomainError, so ``param_violations()``
-    of a built copula is empty.
+    outside its domain raises DomainError listing the scalar entries in
+    ``domain`` order, then each vector of the wrong length, then each vector
+    entry out of range; so ``param_violations()`` of a built copula is
+    empty.  Numpy scalars are accepted: a built copula holds python floats
+    and an int ``dim``.
     """
 
     family: ClassVar[str]
     radially_symmetric: ClassVar[bool] = False
+    margin_axiom_exempt: ClassVar[bool] = False
+    domain: ClassVar[dict[str, tuple[float, float, str] | int | None]]
+    vectors: ClassVar[tuple[str, ...]] = ()
 
     dim: int
 
-    @property
-    def margin_axiom_exempt(self) -> bool:
-        return False
+    def __init_subclass__(cls):
+        # bench/tracing.py and the tests wrap param_violations in each family's own __dict__
+        cls.param_violations = Copula.param_violations
 
     def param_violations(self) -> list[str]:
         """Total validation: a list of human-readable violations, empty when ok."""
-        raise NotImplementedError
+        def outside(name, value, low, high, brackets):
+            if math.isfinite(value) and (low < value if brackets[0] == "(" else low <= value) \
+                    and (value < high if brackets[1] == ")" else value <= high):
+                return []
+            return [f"{name}={value!r} outside {brackets[0]}{low!r}, {high!r}{brackets[1]}"]
+
+        out, lengths, entries = [], [], []
+        for name, bounds in self.domain.items():
+            value = getattr(self, name)
+            if name in self.vectors:
+                if len(value) != self.dim:
+                    lengths.append(f"{name} has {len(value)} entries for dimension {self.dim}")
+                for i, x in enumerate(value, 1):
+                    entries += outside(f"{name}{i}", x, *bounds)
+            elif name != "dim":
+                out += outside(name, value, *bounds)
+            elif bounds is not None and not (isinstance(value, Integral) and value == bounds):
+                out.append(f"dim={value!r} must be {bounds} for {self.family}")
+            elif bounds is None and not (isinstance(value, Integral) and value >= 2):
+                out.append(f"dim={value!r} must be an integer >= 2")
+        return out + lengths + entries
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         """C at checked points of shape (..., dim).  Must also accept complex
@@ -113,9 +152,18 @@ class Copula:
         return None
 
     def __post_init__(self):
+        for name in self.vectors:
+            value = tuple(float(x) for x in np.atleast_1d(getattr(self, name)))
+            object.__setattr__(self, name, value)
+        if self.dim is None and self.vectors:
+            object.__setattr__(self, "dim", len(getattr(self, self.vectors[0])))
         bad = self.param_violations()
         if bad:
             raise DomainError(f"invalid {self.family} parameters: " + "; ".join(bad))
+        for name in self.domain:  # after the check, so messages show the values as given
+            if name not in self.vectors:
+                convert = operator.index if name == "dim" else float
+                object.__setattr__(self, name, convert(getattr(self, name)))
 
     def value(self, u):
         """Copula value C(u); raises DomainError on points outside the unit hypercube."""
@@ -136,9 +184,9 @@ class Copula:
             if f.name == "dim":
                 if v != 2:
                     parts.append(f"dim={v}")
-            elif isinstance(v, tuple):
+            elif f.name in self.vectors:
                 parts.extend(f"{f.name}{i + 1}={x!r}" for i, x in enumerate(v))
-            elif isinstance(v, bool):
+            elif f.name not in self.domain:
                 if v:
                     parts.append(f"{f.name}=true")
             else:
@@ -174,39 +222,13 @@ def poincare_survival(copula: Copula, u) -> float | np.ndarray:
     return scalar_or_array(total)
 
 
-def _interval_violation(name: str, value: float, lo, hi, lo_open=False, hi_open=False) -> str | None:
-    ok = True
-    if not math.isfinite(value):
-        ok = False
-    if lo is not None and (value < lo or (lo_open and value == lo)):
-        ok = False
-    if hi is not None and (value > hi or (hi_open and value == hi)):
-        ok = False
-    if ok:
-        return None
-    lo_s = "(" if lo_open else "["
-    hi_s = ")" if hi_open else "]"
-    lo_v = "-inf" if lo is None else repr(lo)
-    hi_v = "inf" if hi is None else repr(hi)
-    return f"{name}={value!r} outside {lo_s}{lo_v}, {hi_v}{hi_s}"
-
-
-def _dim_violation(dim: int) -> str | None:
-    if not isinstance(dim, int) or dim < 2:
-        return f"dim={dim!r} must be an integer >= 2"
-    return None
-
-
 @dataclass(frozen=True)
 class Independence(Copula):
     """Product copula: C(u) = prod u_i."""
 
     dim: int = 2
     family: ClassVar[str] = "independence"
-
-    def param_violations(self):
-        v = _dim_violation(self.dim)
-        return [v] if v else []
+    domain: ClassVar[dict] = {"dim": None}
 
     def _raw(self, pts):
         return np.prod(pts, axis=-1)
@@ -223,11 +245,8 @@ class Fgm(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "fgm"
+    domain: ClassVar[dict] = {"alpha": (-1.0, 1.0, "[]"), "dim": None}
     radially_symmetric: ClassVar[bool] = True
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, -1.0, 1.0), _dim_violation(self.dim)]
-        return [v for v in out if v]
 
     def _raw(self, pts):
         return np.prod(pts, axis=-1) * (1.0 + self.alpha * np.prod(1.0 - pts, axis=-1))
@@ -246,15 +265,8 @@ class FischerKock(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "fischer_kock"
+    domain: ClassVar[dict] = {"r": (1.0, math.inf, "[]"), "alpha": (-1.0, 1.0, "[]"), "dim": None}
     radially_symmetric: ClassVar[bool] = True
-
-    def param_violations(self):
-        out = [
-            _interval_violation("r", self.r, 1.0, None),
-            _interval_violation("alpha", self.alpha, -1.0, 1.0),
-            _dim_violation(self.dim),
-        ]
-        return [v for v in out if v]
 
     def _raw(self, pts):
         inner = 1.0 + self.alpha * np.prod(1.0 - pts ** (1.0 / self.r), axis=-1)
@@ -272,11 +284,7 @@ class Clayton(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "clayton"
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, 0.0, None, lo_open=True),
-               _dim_violation(self.dim)]
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"alpha": (0.0, math.inf, "(]"), "dim": None}
 
     def _raw(self, pts):
         n = self.dim
@@ -299,10 +307,7 @@ class GumbelHougaard(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "gumbel_hougaard"
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, 1.0, None), _dim_violation(self.dim)]
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"alpha": (1.0, math.inf, "[]"), "dim": None}
 
     def _raw(self, pts):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,10 +336,7 @@ class GumbelBarnet(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "gumbel_barnet"
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, 0.0, 1.0), _dim_violation(self.dim)]
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"alpha": (0.0, 1.0, "[]"), "dim": None}
 
     def _raw(self, pts):
         grounded = np.any(pts == 0.0, axis=-1)
@@ -350,11 +352,7 @@ class NelsenTen(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "nelsen_ten"
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, 0.0, 1.0, lo_open=True),
-               _dim_violation(self.dim)]
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"alpha": (0.0, 1.0, "(]"), "dim": None}
 
     def _raw(self, pts):
         prod_term = np.prod(1.0 - pts**self.alpha, axis=-1)
@@ -373,27 +371,10 @@ class MarshallOlkin(Copula):
     alpha: tuple[float, ...]
     dim: int | None = None  # None: the length of alpha
     family: ClassVar[str] = "marshall_olkin"
+    domain: ClassVar[dict] = {"dim": None, "alpha": (0.0, math.inf, "(]")}
+    vectors: ClassVar[tuple[str, ...]] = ("alpha",)
+    margin_axiom_exempt: ClassVar[bool] = True
     radially_symmetric: ClassVar[bool] = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
-        if self.dim is None:
-            object.__setattr__(self, "dim", len(self.alpha))
-        super().__post_init__()
-
-    @property
-    def margin_axiom_exempt(self) -> bool:
-        return True
-
-    def param_violations(self):
-        out = [_dim_violation(self.dim)]
-        if len(self.alpha) != self.dim:
-            out.append(f"alpha has {len(self.alpha)} entries for dimension {self.dim}")
-        out.extend(
-            _interval_violation(f"alpha{i + 1}", a, 0.0, None, lo_open=True)
-            for i, a in enumerate(self.alpha)
-        )
-        return [v for v in out if v]
 
     def _raw(self, pts):
         powered = pts ** np.asarray(self.alpha)
@@ -415,10 +396,7 @@ class Amh(Copula):
     alpha: float
     dim: int = 2
     family: ClassVar[str] = "amh"
-
-    def param_violations(self):
-        out = [_interval_violation("alpha", self.alpha, -1.0, 1.0), _dim_violation(self.dim)]
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"alpha": (-1.0, 1.0, "[]"), "dim": None}
 
     def _raw(self, pts):
         safe = np.where(pts < _TINY, 0.5, pts)
@@ -446,19 +424,12 @@ class FischerHinzmann(Copula):
     dim: int = 2
     corrected: bool = False
     family: ClassVar[str] = "fischer_hinzmann"
+    domain: ClassVar[dict] = {"m": (1.0, math.inf, "[]"), "alpha": (0.0, 1.0, "[]"), "dim": None}
     radially_symmetric: ClassVar[bool] = True
 
     @property
     def margin_axiom_exempt(self) -> bool:
         return not self.corrected
-
-    def param_violations(self):
-        out = [
-            _interval_violation("m", self.m, 1.0, None),
-            _interval_violation("alpha", self.alpha, 0.0, 1.0),
-            _dim_violation(self.dim),
-        ]
-        return [v for v in out if v]
 
     def _raw(self, pts):
         least = np.min(pts, axis=-1)
@@ -494,24 +465,9 @@ class RluExtended(Copula):
     alpha: float
     dim: int | None = None  # None: the length of a
     family: ClassVar[str] = "rlu_extended"
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in np.atleast_1d(self.a)))
-        object.__setattr__(self, "b", tuple(float(x) for x in np.atleast_1d(self.b)))
-        if self.dim is None:
-            object.__setattr__(self, "dim", len(self.a))
-        super().__post_init__()
-
-    def param_violations(self):
-        out = [_dim_violation(self.dim),
-               _interval_violation("alpha", self.alpha, 0.0, 1.0)]
-        if len(self.a) != self.dim:
-            out.append(f"a has {len(self.a)} entries for dimension {self.dim}")
-        if len(self.b) != self.dim:
-            out.append(f"b has {len(self.b)} entries for dimension {self.dim}")
-        out.extend(_interval_violation(f"a{i + 1}", x, 1.0, None) for i, x in enumerate(self.a))
-        out.extend(_interval_violation(f"b{i + 1}", x, 1.0, None) for i, x in enumerate(self.b))
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"dim": None, "alpha": (0.0, 1.0, "[]"),
+                              "a": (1.0, math.inf, "[]"), "b": (1.0, math.inf, "[]")}
+    vectors: ClassVar[tuple[str, ...]] = ("a", "b")
 
     def _raw(self, pts):
         bump = np.prod(pts ** np.asarray(self.a) * (1.0 - pts) ** np.asarray(self.b), axis=-1)
@@ -535,12 +491,7 @@ class LinearSpearman(Copula):
     theta: float
     dim: int = 2
     family: ClassVar[str] = "linear_spearman"
-
-    def param_violations(self):
-        out = [_interval_violation("theta", self.theta, -1.0, 1.0)]
-        if self.dim != 2:
-            out.append(f"dim={self.dim!r} must be 2 for linear_spearman")
-        return [v for v in out if v]
+    domain: ClassVar[dict] = {"theta": (-1.0, 1.0, "[]"), "dim": 2}
 
     def _raw(self, pts):
         u1 = pts[..., 0]
@@ -616,13 +567,14 @@ def parse_copula(spec: str) -> Copula:
             raise ConfigError(f"copula spec {spec!r}: {key}={raw!r} is not {kind}",
                               token=raw) from None
 
+    cls = FAMILIES[name]
     params = {"dim": take("dim", int, "an integer")} if "dim" in kv else {}
-    for f in fields(FAMILIES[name]):
+    for f in fields(cls):
         if f.name == "dim":
             continue
-        if f.type == "bool":
+        if f.name not in cls.domain:  # a boolean flag
             params[f.name] = f.name in kv and take(f.name, _boolean, "yes/no, true/false or 1/0")
-        elif f.type.startswith("tuple"):
+        elif f.name in cls.vectors:
             count = next(i for i in itertools.count(1) if f"{f.name}{i}" not in kv) - 1
             if not count:
                 raise ConfigError(f"copula spec {spec!r}: missing vector parameter "
@@ -635,4 +587,4 @@ def parse_copula(spec: str) -> Copula:
     if kv:
         extra = ", ".join(sorted(kv))
         raise ConfigError(f"copula spec {spec!r}: unknown parameter(s) {extra}", token=extra)
-    return FAMILIES[name](**params)
+    return cls(**params)

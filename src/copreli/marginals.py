@@ -59,6 +59,7 @@ class Exponential:
     def __post_init__(self):
         if not (self.lam > 0) or not math.isfinite(self.lam):
             raise DomainError(f"exponential rate must be positive, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))  # so spec_string prints a plain float
 
     def cdf(self, t):
         tt = _check_time(t)
@@ -101,6 +102,8 @@ class Weibull:
             raise DomainError(f"weibull rate must be positive, got {self.lam!r}")
         if not (self.k > 0) or not math.isfinite(self.k):
             raise DomainError(f"weibull shape must be positive, got {self.k!r}")
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "k", float(self.k))
 
     def cdf(self, t):
         tt = _check_time(t)

@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -273,11 +276,11 @@ def test_amh_alpha_one_limit_matches_nearby():
 
 def amh_reference(alpha, u):
     """AMH at 50 mpmath digits from its defining formula (the limit at alpha = 1)."""
-    mpmath.mp.dps = 50
-    a, u = mpmath.mpf(alpha), [mpmath.mpf(x) for x in u]
-    if a == 1:
-        return 1 / (sum(1 / x for x in u) - (len(u) - 1))
-    return (1 - a) / (mpmath.fprod((1 - a) / x + a for x in u) - a)
+    with mpmath.workdps(50):
+        a, u = mpmath.mpf(alpha), [mpmath.mpf(x) for x in u]
+        if a == 1:
+            return 1 / (sum(1 / x for x in u) - (len(u) - 1))
+        return (1 - a) / (mpmath.fprod((1 - a) / x + a for x in u) - a)
 
 
 @given(alpha=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
@@ -354,6 +357,133 @@ def test_invalid_parameters_raise_when_built(build, family, violation):
     with pytest.raises(DomainError) as err:
         build()
     assert str(err.value) == f"invalid {family} parameters: {violation}"
+
+
+# several violations in one message, as the hand-written per-family checks
+# printed them: scalar entries in domain order (dim where the family checks
+# it), then each vector of the wrong length, then each vector entry
+MULTI_VIOLATIONS = [
+    (lambda: parse_copula("independence:dim=1"), "independence",
+     "dim=1 must be an integer >= 2"),
+    (lambda: Independence(dim=None), "independence", "dim=None must be an integer >= 2"),
+    (lambda: parse_copula("fgm:alpha=2,dim=1"), "fgm",
+     "alpha=2.0 outside [-1.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: Fgm(alpha=math.nan, dim=2.5), "fgm",
+     "alpha=nan outside [-1.0, 1.0]; dim=2.5 must be an integer >= 2"),
+    (lambda: parse_copula("fischer_kock:r=0.5,alpha=-2,dim=1"), "fischer_kock",
+     "r=0.5 outside [1.0, inf]; alpha=-2.0 outside [-1.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("clayton:alpha=0,dim=0"), "clayton",
+     "alpha=0.0 outside (0.0, inf]; dim=0 must be an integer >= 2"),
+    (lambda: Clayton(alpha=math.inf, dim=True), "clayton",
+     "alpha=inf outside (0.0, inf]; dim=True must be an integer >= 2"),
+    (lambda: parse_copula("gumbel_hougaard:alpha=0.5,dim=1"), "gumbel_hougaard",
+     "alpha=0.5 outside [1.0, inf]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("gumbel_barnet:alpha=-0.5,dim=1"), "gumbel_barnet",
+     "alpha=-0.5 outside [0.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("nelsen_ten:alpha=0,dim=1"), "nelsen_ten",
+     "alpha=0.0 outside (0.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("marshall_olkin:alpha1=0,alpha2=-1,alpha3=2,dim=2"), "marshall_olkin",
+     "alpha has 3 entries for dimension 2; alpha1=0.0 outside (0.0, inf]; "
+     "alpha2=-1.0 outside (0.0, inf]"),
+    (lambda: MarshallOlkin(alpha=(0.5, -1.0), dim=1), "marshall_olkin",
+     "dim=1 must be an integer >= 2; alpha has 2 entries for dimension 1; "
+     "alpha2=-1.0 outside (0.0, inf]"),
+    (lambda: parse_copula("amh:alpha=1.5,dim=1"), "amh",
+     "alpha=1.5 outside [-1.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("fischer_hinzmann:m=0.5,alpha=2,dim=1,corrected=true"),
+     "fischer_hinzmann",
+     "m=0.5 outside [1.0, inf]; alpha=2.0 outside [0.0, 1.0]; dim=1 must be an integer >= 2"),
+    (lambda: parse_copula("rlu_extended:a1=2,a2=0.5,b1=3,alpha=2"), "rlu_extended",
+     "alpha=2.0 outside [0.0, 1.0]; b has 1 entries for dimension 2; a2=0.5 outside [1.0, inf]"),
+    (lambda: parse_copula("rlu_extended:a1=0.5,a2=2,b1=0.5,b2=3,b3=0,alpha=-1,dim=1"),
+     "rlu_extended",
+     "dim=1 must be an integer >= 2; alpha=-1.0 outside [0.0, 1.0]; "
+     "a has 2 entries for dimension 1; b has 3 entries for dimension 1; "
+     "a1=0.5 outside [1.0, inf]; b1=0.5 outside [1.0, inf]; b3=0.0 outside [1.0, inf]"),
+    (lambda: RluExtended(a=(2.0,), b=(0.0, 1.0, 1.0), alpha=math.nan), "rlu_extended",
+     "dim=1 must be an integer >= 2; alpha=nan outside [0.0, 1.0]; "
+     "b has 3 entries for dimension 1; b1=0.0 outside [1.0, inf]"),
+    (lambda: parse_copula("linear_spearman:theta=2,dim=3"), "linear_spearman",
+     "theta=2.0 outside [-1.0, 1.0]; dim=3 must be 2 for linear_spearman"),
+    (lambda: LinearSpearman(theta=-math.inf, dim=1), "linear_spearman",
+     "theta=-inf outside [-1.0, 1.0]; dim=1 must be 2 for linear_spearman"),
+]
+
+
+def test_multi_violations_cover_every_family():
+    assert {family for _, family, _ in MULTI_VIOLATIONS} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("build,family,message", MULTI_VIOLATIONS,
+                         ids=[f"{case[1]}-{i}" for i, case in enumerate(MULTI_VIOLATIONS)])
+def test_multi_violation_messages_keep_their_order(build, family, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == f"invalid {family} parameters: {message}"
+
+
+# every (family, dim, parameter) with an interval, for the domain-edge property
+DOMAIN_PARAMS = [(family, dim, name) for family, dim in FAMILY_CASES
+                 for name in FAMILIES[family].domain if name != "dim"]
+EDGES = ["inside", "low", "high", "below", "above", "nan", "inf", "-inf"]
+
+
+@given(case=st.sampled_from(DOMAIN_PARAMS), edge=st.sampled_from(EDGES),
+       seed=st.integers(0, 2**32 - 1), entry=st.integers(0, 2))
+@settings(max_examples=400, deadline=None)
+def test_domain_edges_property(case, edge, seed, entry):
+    # one parameter (or one vector entry) moved to an edge of its interval
+    family, dim, name = case
+    cop = random_instance(family, np.random.default_rng(seed), dim=dim)
+    low, high, brackets = cop.domain[name]
+    value = {"inside": 0.5 * (low + high) if math.isfinite(high) else low + 1.0,
+             "low": low, "high": high, "below": np.nextafter(low, -math.inf),
+             "above": np.nextafter(high, math.inf), "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf}[edge]
+    value = float(value)
+    allowed = {"inside": True, "low": brackets[0] == "[",
+               "high": brackets[1] == "]" and math.isfinite(high)}.get(edge, False)
+    label, new = name, value
+    if name in cop.vectors:
+        i, old = entry % dim, getattr(cop, name)
+        label, new = f"{name}{i + 1}", old[:i] + (value,) + old[i + 1:]
+    if allowed:
+        moved = replace(cop, **{name: new})
+        assert getattr(moved, name) == new and moved.param_violations() == []
+    else:
+        with pytest.raises(DomainError) as err:
+            replace(cop, **{name: new})
+        assert str(err.value) == (f"invalid {family} parameters: {label}={value!r} outside "
+                                  f"{brackets[0]}{low!r}, {high!r}{brackets[1]}")
+
+
+@pytest.mark.parametrize("cls", list(FAMILIES.values()), ids=list(FAMILIES))
+def test_domain_table_names_every_parameter(cls):
+    # a field added without a domain entry fails here; boolean flags need none
+    params = {f.name for f in fields(cls) if f.type != "bool"}
+    assert set(cls.domain) == params
+    assert set(cls.vectors) <= params
+
+
+def test_numpy_float_parameters_round_trip():
+    cop = Fgm(alpha=np.float64(0.5))
+    assert cop.spec_string() == "fgm:alpha=0.5"
+    assert type(cop.alpha) is float
+    assert parse_copula(cop.spec_string()) == cop
+
+
+def test_numpy_integer_dim_is_accepted_as_int():
+    cop = Clayton(alpha=2.0, dim=np.int64(3))
+    assert cop.dim == 3 and type(cop.dim) is int
+    assert cop.spec_string() == "clayton:alpha=2.0,dim=3"
+    assert MarshallOlkin(alpha=(1.0, 2.0), dim=np.int64(2)).dim == 2
+
+
+@pytest.mark.parametrize("dim", [True, np.True_, 2.0])
+def test_dim_must_be_a_true_integer(dim):
+    with pytest.raises(DomainError) as err:
+        Clayton(alpha=2.0, dim=dim)
+    assert str(err.value) == f"invalid clayton parameters: dim={dim!r} must be an integer >= 2"
 
 
 @pytest.mark.parametrize("family,dim", FAMILY_CASES)

@@ -107,6 +107,12 @@ def test_parse_and_format_roundtrip():
         assert parse_marginal(m.spec_string()) == m
 
 
+def test_numpy_scalar_rates_print_as_plain_floats():
+    assert Exponential(np.float64(1.0)).spec_string() == "exp:1.0"
+    assert Weibull(np.float64(0.5), np.int64(2)).spec_string() == "weibull:0.5,2.0"
+    assert parse_marginal(Exponential(np.float64(1.0)).spec_string()) == Exponential(1.0)
+
+
 @pytest.mark.parametrize("bad,token", [
     ("exp", "exp"),
     ("exp:abc", "abc"),

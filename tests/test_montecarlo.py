@@ -245,14 +245,14 @@ def test_v2_matches_claytons_closed_form_inverse(alpha, seed):
     v1 = rng.uniform(1e-9, 1.0 - 1e-9, 64)
     p = rng.uniform(0.0, 1.0, 64)
     v2 = _conditional_inverse(Clayton(alpha=alpha), v1, p)
-    mpmath.mp.dps = 40
-    a = mpmath.mpf(alpha)
-    for x, q, got in zip(v1, p, v2):
-        x, q = mpmath.mpf(x), mpmath.mpf(q)
-        exact = ((q ** (-a / (1 + a)) - 1) * x**-a + 1) ** (-1 / a)
-        density = (1 + a) * (x * exact) ** (-a - 1) * (x**-a + exact**-a - 1) ** (-1 / a - 2)
-        if density >= 1e-3:
-            assert abs(got - exact) <= 1e-12, (float(x), float(q))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        for x, q, got in zip(v1, p, v2):
+            x, q = mpmath.mpf(x), mpmath.mpf(q)
+            exact = ((q ** (-a / (1 + a)) - 1) * x**-a + 1) ** (-1 / a)
+            density = (1 + a) * (x * exact) ** (-a - 1) * (x**-a + exact**-a - 1) ** (-1 / a - 2)
+            if density >= 1e-3:
+                assert abs(got - exact) <= 1e-12, (float(x), float(q))
 
 
 @given(alpha1=st.floats(0.1, 3.0), alpha2=st.floats(0.1, 3.0), v1=st.floats(1e-6, 0.999),
