@@ -6,10 +6,10 @@ family, Marshall-Olkin, Ali-Mikhail-Haq, Fischer-Hinzmann, an n-variate
 extension of the Rodriguez-Lallena / Ubeda-Flores perturbation, and the
 bivariate linear Spearman copula.
 
-Every family evaluates at points of the unit hypercube (vectorised over a
-trailing axis of length ``dim``).  ``survival_value`` returns the survival
-copula of every family through the inclusion-exclusion conversion
-``poincare_survival``.
+Every family evaluates at points of the unit hypercube of shape (..., dim),
+through a kernel taking one row per coordinate.  ``survival_value`` returns
+the survival copula of every family through the inclusion-exclusion
+conversion ``poincare_survival``.
 
 Spec strings look like ``fgm:alpha=0.5`` or
 ``marshall_olkin:alpha1=0.5,alpha2=1.5``; ``parse_copula`` and
@@ -18,6 +18,7 @@ Spec strings look like ``fgm:alpha=0.5`` or
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -28,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from .exceptions import CapacityError, ConfigError, DomainError
-from .numerics import scalar_or_array
+from .numerics import is_real, scalar_or_array
 
 __all__ = [
     "Copula",
@@ -71,6 +72,11 @@ def _as_points(u, dim: int) -> np.ndarray:
     if ((pts < 0.0) | (pts > 1.0)).any():
         raise DomainError("copula arguments must lie in the unit hypercube")
     return pts
+
+
+def _rows(pts: np.ndarray) -> np.ndarray:
+    """Points (..., dim) as 1-d rows: numpy rounds a scalar's ``**`` unlike an array's."""
+    return pts.reshape(-1, pts.shape[-1]).T
 
 
 class Copula:
@@ -116,8 +122,9 @@ class Copula:
     def param_violations(self) -> list[str]:
         """Total validation: a list of human-readable violations, empty when ok."""
         def outside(name, value, low, high, brackets):
-            if math.isfinite(value) and (low < value if brackets[0] == "(" else low <= value) \
-                    and (value < high if brackets[1] == ")" else value <= high):
+            if is_real(value) and math.isfinite(value) and (
+                    low < value if brackets[0] == "(" else low <= value) and (
+                    value < high if brackets[1] == ")" else value <= high):
                 return []
             return [f"{name}={value!r} outside {brackets[0]}{low!r}, {high!r}{brackets[1]}"]
 
@@ -137,11 +144,12 @@ class Copula:
                 out.append(f"dim={value!r} must be an integer >= 2")
         return out + lengths + entries
 
-    def _raw(self, pts: np.ndarray) -> np.ndarray:
-        """C at checked points of shape (..., dim).  Must also accept complex
-        points and stay complex-analytic in the first coordinate away from
-        kinks (numpy expressions only, branching through numpy comparisons,
-        ``min``/``max`` or ``where``; no ``abs``, ``math`` or ``float()``),
+    def _raw(self, *u) -> np.ndarray:
+        """C at checked points, one row per coordinate: arrays or numbers that
+        broadcast together, the first maybe complex and the others real.  C
+        must stay complex-analytic in u1 away from kinks (numpy expressions
+        and ``math.prod``, branching through numpy comparisons, ``minimum``/
+        ``maximum`` or ``where``; no ``abs``, ``float()`` or other ``math``),
         because ``montecarlo.conditional_cdf`` takes a complex step through
         it; where it switches branch in u2 is ``_switch_v2``."""
         raise NotImplementedError
@@ -153,8 +161,8 @@ class Copula:
 
     def __post_init__(self):
         for name in self.vectors:
-            value = tuple(float(x) for x in np.atleast_1d(getattr(self, name)))
-            object.__setattr__(self, name, value)
+            entries = np.array(getattr(self, name), dtype=object, ndmin=1)
+            object.__setattr__(self, name, tuple(float(x) if is_real(x) else x for x in entries))
         if self.dim is None and self.vectors:
             object.__setattr__(self, "dim", len(getattr(self, self.vectors[0])))
         bad = self.param_violations()
@@ -167,7 +175,8 @@ class Copula:
 
     def value(self, u):
         """Copula value C(u); raises DomainError on points outside the unit hypercube."""
-        return scalar_or_array(self._raw(_as_points(u, self.dim)))
+        pts = _as_points(u, self.dim)
+        return scalar_or_array(self._raw(*_rows(pts)).reshape(pts.shape[:-1]))
 
     def survival_value(self, uhat):
         """Survival copula at uhat, by inclusion-exclusion over coordinate subsets.
@@ -212,14 +221,12 @@ def poincare_survival(copula: Copula, u) -> float | np.ndarray:
         raise CapacityError(
             f"inclusion-exclusion over {n} coordinates needs 2^{n} copula evaluations"
         )
-    total = np.ones(pts.shape[:-1], dtype=float)
+    rows, total = _rows(pts), 1.0
     for k in range(1, n + 1):
         sign = (-1.0) ** k
         for subset in itertools.combinations(range(n), k):
-            coords = np.ones_like(pts)
-            coords[..., subset] = pts[..., subset]
-            total = total + sign * copula._raw(coords)
-    return scalar_or_array(total)
+            total += sign * copula._raw(*(rows[i] if i in subset else 1.0 for i in range(n)))
+    return scalar_or_array(total.reshape(pts.shape[:-1]))
 
 
 @dataclass(frozen=True)
@@ -230,8 +237,8 @@ class Independence(Copula):
     family: ClassVar[str] = "independence"
     domain: ClassVar[dict] = {"dim": None}
 
-    def _raw(self, pts):
-        return np.prod(pts, axis=-1)
+    def _raw(self, *u):
+        return math.prod(u)
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,8 @@ class Fgm(Copula):
     domain: ClassVar[dict] = {"alpha": (-1.0, 1.0, "[]"), "dim": None}
     radially_symmetric: ClassVar[bool] = True
 
-    def _raw(self, pts):
-        return np.prod(pts, axis=-1) * (1.0 + self.alpha * np.prod(1.0 - pts, axis=-1))
+    def _raw(self, *u):
+        return math.prod(u) * (1.0 + self.alpha * math.prod(1.0 - v for v in u))
 
 
 @dataclass(frozen=True)
@@ -268,9 +275,9 @@ class FischerKock(Copula):
     domain: ClassVar[dict] = {"r": (1.0, math.inf, "[]"), "alpha": (-1.0, 1.0, "[]"), "dim": None}
     radially_symmetric: ClassVar[bool] = True
 
-    def _raw(self, pts):
-        inner = 1.0 + self.alpha * np.prod(1.0 - pts ** (1.0 / self.r), axis=-1)
-        return np.prod(pts, axis=-1) * inner**self.r
+    def _raw(self, *u):
+        inner = 1.0 + self.alpha * math.prod(1.0 - v ** (1.0 / self.r) for v in u)
+        return math.prod(u) * inner**self.r
 
 
 @dataclass(frozen=True)
@@ -286,18 +293,12 @@ class Clayton(Copula):
     family: ClassVar[str] = "clayton"
     domain: ClassVar[dict] = {"alpha": (0.0, math.inf, "(]"), "dim": None}
 
-    def _raw(self, pts):
-        n = self.dim
-        m = np.min(pts, axis=-1, keepdims=True)
-        out = np.zeros(pts.shape[:-1], dtype=float)
-        pos = np.squeeze(m, axis=-1) > 0.0
-        if np.any(pos):
-            # factor out min(u)^(-alpha) so no intermediate overflows
-            ratios = np.where(pts > 0, m / np.where(pts > 0, pts, 1.0), 1.0)
-            inner = np.sum(ratios**self.alpha, axis=-1) - (n - 1) * np.squeeze(m, -1) ** self.alpha
-            vals = np.squeeze(m, -1) * inner ** (-1.0 / self.alpha)
-            out = np.where(pos, vals, 0.0)
-        return out
+    def _raw(self, *u):
+        m = functools.reduce(np.minimum, u)
+        # factor out min(u)^(-alpha) so no intermediate overflows
+        ratios = (np.where(v > 0, m / np.where(v > 0, v, 1.0), 1.0) for v in u)
+        inner = sum(x**self.alpha for x in ratios) - (self.dim - 1) * m**self.alpha
+        return np.where(m > 0.0, m * inner ** (-1.0 / self.alpha), 0.0)
 
 
 @dataclass(frozen=True)
@@ -309,19 +310,16 @@ class GumbelHougaard(Copula):
     family: ClassVar[str] = "gumbel_hougaard"
     domain: ClassVar[dict] = {"alpha": (1.0, math.inf, "[]"), "dim": None}
 
-    def _raw(self, pts):
+    def _raw(self, *u):
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = -np.log(pts)
-            big = np.max(x, axis=-1)
-            out = np.zeros(pts.shape[:-1], dtype=float)
+            x = [-np.log(v) for v in u]
+            big = functools.reduce(np.maximum, x)
             interior = np.isfinite(big) & (big > 0)
-            if np.any(interior):
-                scale = np.where(interior, big, 1.0)[..., None]
-                ratios = np.where(np.isfinite(x), x, 0.0) / scale
-                s = scale[..., 0] * np.sum(ratios**self.alpha, axis=-1) ** (1.0 / self.alpha)
-                out = np.where(interior, np.exp(-s), out)
-            out = np.where(big == 0.0, 1.0, out)  # all coordinates at 1
-        return out
+            scale = np.where(interior, big, 1.0)
+            ratios = (np.where(np.isfinite(v), v, 0.0) / scale for v in x)
+            s = scale * sum(r**self.alpha for r in ratios) ** (1.0 / self.alpha)
+            # big = 0: all coordinates at 1
+            return np.where(interior, np.exp(-s), np.where(big == 0.0, 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -338,11 +336,10 @@ class GumbelBarnet(Copula):
     family: ClassVar[str] = "gumbel_barnet"
     domain: ClassVar[dict] = {"alpha": (0.0, 1.0, "[]"), "dim": None}
 
-    def _raw(self, pts):
-        grounded = np.any(pts == 0.0, axis=-1)
-        safe = np.where(pts > 0, pts, 0.5)
-        val = np.prod(safe, axis=-1) * np.exp(-self.alpha * np.prod(np.log(safe), axis=-1))
-        return np.where(grounded, 0.0, val)
+    def _raw(self, *u):
+        safe = [np.where(v > 0, v, 0.5) for v in u]
+        val = math.prod(safe) * np.exp(-self.alpha * math.prod(np.log(v) for v in safe))
+        return np.where(functools.reduce(np.minimum, u) == 0.0, 0.0, val)
 
 
 @dataclass(frozen=True)
@@ -354,9 +351,9 @@ class NelsenTen(Copula):
     family: ClassVar[str] = "nelsen_ten"
     domain: ClassVar[dict] = {"alpha": (0.0, 1.0, "(]"), "dim": None}
 
-    def _raw(self, pts):
-        prod_term = np.prod(1.0 - pts**self.alpha, axis=-1)
-        return np.prod(pts, axis=-1) * np.exp(-np.log1p(prod_term) / self.alpha)
+    def _raw(self, *u):
+        prod_term = math.prod(1.0 - v**self.alpha for v in u)
+        return math.prod(u) * np.exp(-np.log1p(prod_term) / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -376,9 +373,8 @@ class MarshallOlkin(Copula):
     margin_axiom_exempt: ClassVar[bool] = True
     radially_symmetric: ClassVar[bool] = True
 
-    def _raw(self, pts):
-        powered = pts ** np.asarray(self.alpha)
-        return np.prod(pts, axis=-1) * np.min(powered, axis=-1)
+    def _raw(self, *u):
+        return math.prod(u) * functools.reduce(np.minimum, [v**a for v, a in zip(u, self.alpha)])
 
     def _switch_v2(self, v1):
         return v1 ** (self.alpha[0] / self.alpha[1])
@@ -398,14 +394,13 @@ class Amh(Copula):
     family: ClassVar[str] = "amh"
     domain: ClassVar[dict] = {"alpha": (-1.0, 1.0, "[]"), "dim": None}
 
-    def _raw(self, pts):
-        safe = np.where(pts < _TINY, 0.5, pts)
-        w = (1.0 - safe) / safe
-        s = w[..., 0]
+    def _raw(self, *u):
+        safe = (np.where(v < _TINY, 0.5, v) for v in u)
+        s, *w = [(1.0 - v) / v for v in safe]
         with np.errstate(over="ignore"):  # s = inf only where C underflows
-            for i in range(1, self.dim):  # the sum over k, one coordinate at a time
-                s = s * (1.0 + (1.0 - self.alpha) * w[..., i]) + w[..., i]
-        return np.where(np.any(pts < _TINY, axis=-1), 0.0, 1.0 / (1.0 + s))
+            for x in w:  # the sum over k, one coordinate at a time
+                s = s * (1.0 + (1.0 - self.alpha) * x) + x
+        return np.where(functools.reduce(np.minimum, u) < _TINY, 0.0, 1.0 / (1.0 + s))
 
 
 @dataclass(frozen=True)
@@ -431,9 +426,9 @@ class FischerHinzmann(Copula):
     def margin_axiom_exempt(self) -> bool:
         return not self.corrected
 
-    def _raw(self, pts):
-        least = np.min(pts, axis=-1)
-        prod_u = np.prod(pts, axis=-1)
+    def _raw(self, *u):
+        least = functools.reduce(np.minimum, u)
+        prod_u = math.prod(u)
         # factor out the dominant term before taking m-th powers so large m
         # cannot underflow the sum
         if self.corrected:
@@ -469,9 +464,9 @@ class RluExtended(Copula):
                               "a": (1.0, math.inf, "[]"), "b": (1.0, math.inf, "[]")}
     vectors: ClassVar[tuple[str, ...]] = ("a", "b")
 
-    def _raw(self, pts):
-        bump = np.prod(pts ** np.asarray(self.a) * (1.0 - pts) ** np.asarray(self.b), axis=-1)
-        return np.prod(pts, axis=-1) + self.alpha * bump
+    def _raw(self, *u):
+        bump = math.prod(v**a * (1.0 - v) ** b for v, a, b in zip(u, self.a, self.b))
+        return math.prod(u) + self.alpha * bump
 
     def ratio_thresholds(self) -> tuple[float, ...]:
         """k_i = (a_i - 1)/(a_i + b_i - 1): where the i-th bump factor peaks on the u scale."""
@@ -493,9 +488,7 @@ class LinearSpearman(Copula):
     family: ClassVar[str] = "linear_spearman"
     domain: ClassVar[dict] = {"theta": (-1.0, 1.0, "[]"), "dim": 2}
 
-    def _raw(self, pts):
-        u1 = pts[..., 0]
-        u2 = pts[..., 1]
+    def _raw(self, u1, u2):
         base = u1 * u2
         if self.theta >= 0.0:
             lo = np.minimum(u1, u2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, SingularityError
-from .numerics import scalar_or_array
+from .numerics import is_real, scalar_or_array
 
 __all__ = [
     "Exponential",
@@ -57,7 +57,7 @@ class Exponential:
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0) or not math.isfinite(self.lam):
+        if not (is_real(self.lam) and self.lam > 0) or not math.isfinite(self.lam):
             raise DomainError(f"exponential rate must be positive, got {self.lam!r}")
         object.__setattr__(self, "lam", float(self.lam))  # so spec_string prints a plain float
 
@@ -98,9 +98,9 @@ class Weibull:
     k: float
 
     def __post_init__(self):
-        if not (self.lam > 0) or not math.isfinite(self.lam):
+        if not (is_real(self.lam) and self.lam > 0) or not math.isfinite(self.lam):
             raise DomainError(f"weibull rate must be positive, got {self.lam!r}")
-        if not (self.k > 0) or not math.isfinite(self.k):
+        if not (is_real(self.k) and self.k > 0) or not math.isfinite(self.k):
             raise DomainError(f"weibull shape must be positive, got {self.k!r}")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "k", float(self.k))

@@ -72,7 +72,7 @@ class SampleBatch:
 
 def conditional_cdf(copula: Copula, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """h(v1, v2) = dC/du1 at (v1, v2), by a complex step through the kernel."""
-    return complex_step(lambda x: copula._raw(np.stack([x, v2], axis=-1)), v1)
+    return complex_step(lambda x: copula._raw(x, v2), v1)
 
 
 def _settle(v2, done, value, idx, *state):

@@ -17,6 +17,7 @@ complex arguments (the copula kernels).
 from __future__ import annotations
 
 from collections.abc import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .exceptions import DomainError, SingularityError
 
 __all__ = [
     "scalar_or_array",
+    "is_real",
     "adaptive_step",
     "Stencil",
     "REASONS",
@@ -54,6 +56,11 @@ REASONS = ("",
 def scalar_or_array(x):
     """``x`` as a python float when it has no axes, otherwise unchanged."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number, numpy's included; a bool is not one."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def adaptive_step(t):

@@ -160,12 +160,12 @@ class System:
         values for a parallel system of several components and at their sf
         values otherwise, the other side one minus it."""
         parallel = self.n > 1 and self.structure == "parallel"
-        pts = np.array([(m.cdf if parallel else m.sf)(t) for m in self.marginals]).T
-        if pts.ndim > 2:
+        rows = np.array([(m.cdf if parallel else m.sf)(t) for m in self.marginals])
+        if rows.ndim > 2:
             raise DomainError("t must be a number or a one-dimensional array")
-        twin = pts.prod(axis=-1)  # a lone component's own value
+        twin = rows.prod(axis=0)  # a lone component's own value
         dependent = self.mode == "dependent" and self.n > 1
-        joint = np.array([self.copula.value(pts) if dependent else twin, twin])
+        joint = np.array([self.copula.value(rows.T) if dependent else twin, twin])
         return (1.0 - joint, joint) if parallel else (joint, 1.0 - joint)
 
     def sf(self, t):

@@ -69,6 +69,23 @@ def test_value_is_vectorised():
     assert vals[2] == 0.0
 
 
+@given(case=st.sampled_from(FAMILY_CASES), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_every_layout_of_points_gives_the_same_bits(case, seed):
+    # a lone point, an (n, dim) and an (a, b, dim) array take the same
+    # arithmetic, also where a coordinate is 0 or 1
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    cop = random_instance(family, rng, dim=dim)
+    pts = rng.random((6, dim))
+    pts[rng.random((6, dim)) < 0.2] = 0.0
+    pts[rng.random((6, dim)) < 0.2] = 1.0
+    for evaluate in (cop.value, cop.survival_value):
+        bulk = evaluate(pts)
+        assert np.array([evaluate(p) for p in pts]).tobytes() == bulk.tobytes()
+        assert evaluate(pts.reshape(2, 3, dim)).tobytes() == bulk.tobytes()
+
+
 SURVIVAL_CASES = [
     (Independence(), (0.5, 0.5), 0.25),
     (Fgm(alpha=0.5), (0.5, 0.5), 0.28125),  # radially symmetric: same formula
@@ -346,13 +363,24 @@ INVALID_CASES = [
     (lambda: LinearSpearman(theta=1.5), "linear_spearman", "theta=1.5 outside [-1.0, 1.0]"),
 ]
 
+# a parameter that is not a real number (a bool is not one) is refused the same way
+NOT_REAL_CASES = {
+    "fgm-str": (lambda: Fgm(alpha="0.5"), "fgm", "alpha='0.5' outside [-1.0, 1.0]"),
+    "fgm-complex": (lambda: Fgm(alpha=0.5 + 0j), "fgm", "alpha=(0.5+0j) outside [-1.0, 1.0]"),
+    "clayton-bool": (lambda: Clayton(alpha=True), "clayton", "alpha=True outside (0.0, inf]"),
+    "marshall_olkin-str": (lambda: MarshallOlkin(alpha=("0.5", "1")), "marshall_olkin",
+                           "alpha1='0.5' outside (0.0, inf]; alpha2='1' outside (0.0, inf]"),
+    "rlu_extended-none": (lambda: RluExtended(a=(2.0, None), b=np.array([2.0, 1.0]), alpha=0.5),
+                          "rlu_extended", "a2=None outside [1.0, inf]"),
+}
+
 
 def test_invalid_cases_cover_every_family():
     assert {family for _, family, _ in INVALID_CASES} == set(FAMILIES)
 
 
-@pytest.mark.parametrize("build,family,violation", INVALID_CASES,
-                         ids=[case[1] for case in INVALID_CASES])
+@pytest.mark.parametrize("build,family,violation", INVALID_CASES + list(NOT_REAL_CASES.values()),
+                         ids=[case[1] for case in INVALID_CASES] + list(NOT_REAL_CASES))
 def test_invalid_parameters_raise_when_built(build, family, violation):
     with pytest.raises(DomainError) as err:
         build()

@@ -92,6 +92,18 @@ def test_domain_errors():
         Exponential(1.0).reversed_hazard(0.0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Exponential("1"), "exponential rate must be positive, got '1'"),
+    (lambda: Exponential(1 + 0j), "exponential rate must be positive, got (1+0j)"),
+    (lambda: Weibull(True, 2.0), "weibull rate must be positive, got True"),
+    (lambda: Weibull(1.0, "2"), "weibull shape must be positive, got '2'"),
+])
+def test_a_parameter_that_is_not_a_real_number_is_a_domain_error(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("t", [1e-100, [0.5, 1e-100, 0.0]])
 def test_reversed_hazard_where_the_cdf_underflows_raises(t):
     # (2 * 1e-100)^3.5 underflows, so the cdf is 0 at a t > 0

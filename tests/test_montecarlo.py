@@ -26,7 +26,7 @@ from copreli import (
 )
 from copreli import montecarlo
 from copreli.montecarlo import _conditional_inverse, conditional_cdf
-from copreli.numerics import richardson_pair
+from copreli.numerics import complex_step, richardson_pair
 
 E1 = Exponential(1.0)
 MARGINALS = (E1, E1)
@@ -214,13 +214,26 @@ def test_complex_step_h_matches_a_central_difference(family, seed, v1, v2):
     assume(kink_distance(cop, v1, v2) >= 1e-3)
 
     def central(step):
-        pts = np.array([[v1 + step, v2], [v1 - step, v2]])
-        hi, lo = cop._raw(pts)
+        hi, lo = cop._raw(np.array([v1 + step, v1 - step]), np.array([v2, v2]))
         return (hi - lo) / (2.0 * step)
 
     reference = richardson_pair(central(1e-4), central(5e-5))
     h = conditional_cdf(cop, np.array([v1]), np.array([v2]))[0]
     assert h == pytest.approx(reference, rel=1e-8, abs=1e-8)
+
+
+@given(family=st.sampled_from(families_for_dim(2)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_h_from_a_real_u2_row_matches_an_all_complex_one(family, seed):
+    # the sampler keeps u2 real, so only u1's row runs in complex arithmetic
+    rng = np.random.default_rng(seed)
+    cop = random_instance(family, rng)
+    v1 = rng.uniform(1e-9, 1.0 - 1e-9, size=32)
+    v2 = np.concatenate([[0.0, 1.0], rng.random(30)])
+    h = conditional_cdf(cop, v1, v2)
+    complex_u2 = complex_step(lambda x: cop._raw(x, v2 + 0j), v1)
+    np.testing.assert_array_equal(np.isnan(h), np.isnan(complex_u2))
+    np.testing.assert_allclose(h, complex_u2, rtol=0.0, atol=2e-15)
 
 
 def clayton_h(alpha, v1, v2):
@@ -313,7 +326,7 @@ def test_a_fischer_hinzmann_atom_lands_on_the_diagonal(m, alpha, corrected, v1, 
 
 
 def test_a_nan_kernel_raises_sampling_error(monkeypatch):
-    monkeypatch.setattr(Fgm, "_raw", lambda self, pts: np.nan * pts[..., 0])
+    monkeypatch.setattr(Fgm, "_raw", lambda self, u1, u2: np.nan * u1)
     with pytest.raises(SamplingError):
         sample_bivariate(Fgm(alpha=0.5), MARGINALS, 100, seed=1)
 
@@ -322,8 +335,8 @@ def test_a_nan_met_only_while_bisecting_raises_sampling_error(monkeypatch):
     # p = 0.4 falls inside the jump of h at v2 = v1 = 0.3; the kernel is NaN
     # only within 1e-9 of it, where the bracket split reads h
     raw = LinearSpearman._raw
-    monkeypatch.setattr(LinearSpearman, "_raw", lambda self, pts: np.where(
-        np.abs((pts[..., 0] - pts[..., 1]).real) < 1e-9, np.nan * pts[..., 0], raw(self, pts)))
+    monkeypatch.setattr(LinearSpearman, "_raw", lambda self, u1, u2: np.where(
+        np.abs((u1 - u2).real) < 1e-9, np.nan * u1, raw(self, u1, u2)))
     with pytest.raises(SamplingError):
         _conditional_inverse(LinearSpearman(theta=0.5), np.array([0.3]), np.array([0.4]))
 
@@ -333,8 +346,8 @@ def test_a_nan_met_only_in_the_bisection_loop_raises_sampling_error(monkeypatch)
     # midpoint v2 = 0.5 is the only place the kernel is NaN
     raw = Fgm._raw
     monkeypatch.setattr(montecarlo, "_ILLINOIS_ROUNDS", 0)
-    monkeypatch.setattr(Fgm, "_raw", lambda self, pts: np.where(
-        pts[..., 1].real == 0.5, np.nan * pts[..., 0], raw(self, pts)))
+    monkeypatch.setattr(Fgm, "_raw", lambda self, u1, u2: np.where(
+        u2.real == 0.5, np.nan * u1, raw(self, u1, u2)))
     with pytest.raises(SamplingError):
         _conditional_inverse(Fgm(alpha=0.5), np.array([0.3]), np.array([0.4]))
 
@@ -347,7 +360,7 @@ def kernel_points_per_sample(family, monkeypatch, n=4096):
         counted = []
         raw = type(cop)._raw
         monkeypatch.setattr(type(cop), "_raw",
-                            lambda self, pts: counted.append(pts.size // 2) or raw(self, pts))
+                            lambda self, *u: counted.append(np.size(u[0])) or raw(self, *u))
         sample_bivariate(cop, MARGINALS, n, seed=k)
         monkeypatch.undo()
         yield str(cop), sum(counted) / n

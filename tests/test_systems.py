@@ -389,8 +389,8 @@ def mp_sf(system, t):
     sf = [mpmath.exp(-m.lam * t) if isinstance(m, Exponential)
           else mpmath.exp(-(m.lam * t) ** m.k) for m in system.marginals]
     if system.structure == "series":
-        return system.copula._raw(np.array([sf], dtype=object))[0]
-    return 1 - system.copula._raw(np.array([[1 - x for x in sf]], dtype=object))[0]
+        return system.copula._raw(*(np.array([x], dtype=object) for x in sf))[0]
+    return 1 - system.copula._raw(*(np.array([1 - x], dtype=object) for x in sf))[0]
 
 
 @pytest.mark.parametrize("structure", ["series", "parallel"])
