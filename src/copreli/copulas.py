@@ -53,6 +53,8 @@ __all__ = [
 
 MAX_POINCARE_DIM = 20
 _TINY = np.finfo(float).tiny
+# the product of the rows; math.prod is several times slower on a complex first row
+_prod = functools.partial(functools.reduce, operator.mul)
 
 
 def _boolean(text: str) -> bool:
@@ -148,7 +150,7 @@ class Copula:
         """C at checked points, one row per coordinate: arrays or numbers that
         broadcast together, the first maybe complex and the others real.  C
         must stay complex-analytic in u1 away from kinks (numpy expressions
-        and ``math.prod``, branching through numpy comparisons, ``minimum``/
+        and ``_prod``, branching through numpy comparisons, ``minimum``/
         ``maximum`` or ``where``; no ``abs``, ``float()`` or other ``math``),
         because ``montecarlo.conditional_cdf`` takes a complex step through
         it; where it switches branch in u2 is ``_switch_v2``."""
@@ -238,7 +240,7 @@ class Independence(Copula):
     domain: ClassVar[dict] = {"dim": None}
 
     def _raw(self, *u):
-        return math.prod(u)
+        return _prod(u)
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class Fgm(Copula):
     radially_symmetric: ClassVar[bool] = True
 
     def _raw(self, *u):
-        return math.prod(u) * (1.0 + self.alpha * math.prod(1.0 - v for v in u))
+        return _prod(u) * (1.0 + self.alpha * _prod(1.0 - v for v in u))
 
 
 @dataclass(frozen=True)
@@ -276,8 +278,8 @@ class FischerKock(Copula):
     radially_symmetric: ClassVar[bool] = True
 
     def _raw(self, *u):
-        inner = 1.0 + self.alpha * math.prod(1.0 - v ** (1.0 / self.r) for v in u)
-        return math.prod(u) * inner**self.r
+        inner = 1.0 + self.alpha * _prod(1.0 - v ** (1.0 / self.r) for v in u)
+        return _prod(u) * inner**self.r
 
 
 @dataclass(frozen=True)
@@ -338,7 +340,7 @@ class GumbelBarnet(Copula):
 
     def _raw(self, *u):
         safe = [np.where(v > 0, v, 0.5) for v in u]
-        val = math.prod(safe) * np.exp(-self.alpha * math.prod(np.log(v) for v in safe))
+        val = _prod(safe) * np.exp(-self.alpha * _prod(np.log(v) for v in safe))
         return np.where(functools.reduce(np.minimum, u) == 0.0, 0.0, val)
 
 
@@ -352,8 +354,8 @@ class NelsenTen(Copula):
     domain: ClassVar[dict] = {"alpha": (0.0, 1.0, "(]"), "dim": None}
 
     def _raw(self, *u):
-        prod_term = math.prod(1.0 - v**self.alpha for v in u)
-        return math.prod(u) * np.exp(-np.log1p(prod_term) / self.alpha)
+        prod_term = _prod(1.0 - v**self.alpha for v in u)
+        return _prod(u) * np.exp(-np.log1p(prod_term) / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ class MarshallOlkin(Copula):
     radially_symmetric: ClassVar[bool] = True
 
     def _raw(self, *u):
-        return math.prod(u) * functools.reduce(np.minimum, [v**a for v, a in zip(u, self.alpha)])
+        return _prod(u) * functools.reduce(np.minimum, [v**a for v, a in zip(u, self.alpha)])
 
     def _switch_v2(self, v1):
         return v1 ** (self.alpha[0] / self.alpha[1])
@@ -428,7 +430,7 @@ class FischerHinzmann(Copula):
 
     def _raw(self, *u):
         least = functools.reduce(np.minimum, u)
-        prod_u = math.prod(u)
+        prod_u = _prod(u)
         # factor out the dominant term before taking m-th powers so large m
         # cannot underflow the sum
         if self.corrected:
@@ -465,8 +467,8 @@ class RluExtended(Copula):
     vectors: ClassVar[tuple[str, ...]] = ("a", "b")
 
     def _raw(self, *u):
-        bump = math.prod(v**a * (1.0 - v) ** b for v, a, b in zip(u, self.a, self.b))
-        return math.prod(u) + self.alpha * bump
+        bump = _prod(v**a * (1.0 - v) ** b for v, a, b in zip(u, self.a, self.b))
+        return _prod(u) + self.alpha * bump
 
     def ratio_thresholds(self) -> tuple[float, ...]:
         """k_i = (a_i - 1)/(a_i + b_i - 1): where the i-th bump factor peaks on the u scale."""

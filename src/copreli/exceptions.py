@@ -6,6 +6,16 @@ command line front end) can map failures to stable exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "CopreliError",
+    "DomainError",
+    "ConfigError",
+    "SingularityError",
+    "CapacityError",
+    "IntegrationError",
+    "SamplingError",
+]
+
 
 class CopreliError(Exception):
     """Base class for all copreli errors."""

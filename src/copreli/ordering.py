@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 RATIO_KINDS = ("C_over_C1", "Chat_over_Chat1", "C_over_Chat")
+_MOVE_TOL = 1e-9  # a ratio step is a move beyond this, relative to 1 + |ratio|
+_SLACK_TOL = 1e-10  # theorem 1 passes while every survival slack is above -this
+_LR_TOL = 1e-8  # the density ratio may rise this much in a step and still pass
 
 
 def _dependent(copula: Copula, marginals, structure: str) -> System:
@@ -110,13 +113,13 @@ def ratio_function(copula: Copula, marginals, kind: str) -> Callable:
 
 @dataclass(frozen=True)
 class MonotonicityVerdict:
-    """Sign-pattern classification of a function on a (possibly refined) grid.
+    """Sign-pattern classification of a function on a grid.
 
-    ``grid`` and ``values`` hold every point evaluated, but only the points
-    with a finite value are classified; ``certified_range`` is the first and
-    the last of those.  Witnesses are ((t_a, v_a), (t_b, v_b)) pairs with
-    t_a < t_b showing a significant move in each direction; they are
-    populated only for non-monotone verdicts.
+    ``grid`` is the grid given and ``values`` the function on it, but only
+    the points with a finite value are classified; ``certified_range`` is
+    the first and the last of those.  Witnesses are ((t_a, v_a), (t_b, v_b))
+    pairs of neighbouring grid points with the largest step in each
+    direction; they are populated only for non-monotone verdicts.
     """
 
     classification: str  # increasing | decreasing | constant | non_monotone
@@ -127,74 +130,34 @@ class MonotonicityVerdict:
     certified_range: tuple[float, float] | None = None
 
 
-def _significant_moves(ts, vs, tol_scale):
-    diffs = np.diff(vs)
-    tols = tol_scale * (1.0 + np.maximum(np.abs(vs[:-1]), np.abs(vs[1:])))
-    ups = diffs > tols
-    downs = diffs < -tols
-    return ups, downs
+def classify_monotonicity(fn: Callable, grid) -> MonotonicityVerdict:
+    """Classify fn on the grid points where it is finite.
 
-
-def _evaluate(fn: Callable, ts: np.ndarray) -> np.ndarray:
-    """fn at every point of ts in one call; a scalar result is broadcast."""
-    values = np.empty(ts.shape)
-    values[...] = fn(ts)
-    return values
-
-
-def classify_monotonicity(fn: Callable, grid,
-                          refine_budget: int = 256,
-                          tol_scale: float = 1e-9) -> MonotonicityVerdict:
-    """Classify fn on the grid points where it is finite; on a mixed sign
-    pattern, refine near the sign changes (8x subdivision) up to
-    ``refine_budget`` extra evaluations before declaring non-monotonicity.
-
-    ``fn`` receives a one-dimensional array of times: once with the grid,
-    then once per refinement round with that round's new points.  A value
-    that is not finite (a ratio whose denominator underflowed) is left out;
-    DomainError if fewer than 16 grid points have a finite value.
+    ``fn`` is called once, with the grid as a one-dimensional array of
+    times; a scalar result is broadcast to it.  A step between neighbouring
+    finite values is a move when it exceeds 1e-9 (1 + the larger |value|).
+    A value that is not finite (a ratio whose denominator underflowed) is
+    left out; DomainError if fewer than 16 grid points have a finite value.
     """
     ts = np.asarray(grid, dtype=float)
-    vs = _evaluate(fn, ts)
-    if np.count_nonzero(np.isfinite(vs)) < 16:
+    vs = np.empty(ts.shape)
+    vs[...] = fn(ts)
+    finite = np.isfinite(vs)
+    if np.count_nonzero(finite) < 16:
         raise DomainError("monotonicity classification needs at least 16 grid points "
                           "with a finite value")
-    budget = refine_budget
-    while True:
-        finite = np.isfinite(vs)
-        fts, fvs = ts[finite], vs[finite]
-        ups, downs = _significant_moves(fts, fvs, tol_scale)
-        if not (ups.any() and downs.any()) or budget <= 0:
-            break
-        # refine every interval adjacent to a direction change
-        signs = np.where(ups, 1, np.where(downs, -1, 0))
-        moves = np.flatnonzero(signs)
-        turns = moves[1:][signs[moves[1:]] != signs[moves[:-1]]]
-        new_ts = []
-        for i in np.union1d(turns - 1, turns):
-            if budget <= 0:
-                break
-            inner = np.linspace(fts[i], fts[i + 1], 9)[1:-1]
-            new_ts.extend(inner)
-            budget -= inner.size
-        if not new_ts:
-            break
-        new_ts = np.asarray(new_ts)
-        new_vs = _evaluate(fn, new_ts)
-        order = np.argsort(np.concatenate([ts, new_ts]))
-        ts = np.concatenate([ts, new_ts])[order]
-        vs = np.concatenate([vs, new_vs])[order]
-
+    fts, fvs = ts[finite], vs[finite]
+    diffs = np.diff(fvs)
+    tols = _MOVE_TOL * (1.0 + np.maximum(np.abs(fvs[:-1]), np.abs(fvs[1:])))
+    up, down = bool((diffs > tols).any()), bool((diffs < -tols).any())
     certified = (float(fts[0]), float(fts[-1]))
-    if ups.any() and downs.any():
-        diffs = np.diff(fvs)
-
+    if up and down:
         def witness(i):
             return tuple((float(fts[j]), float(fvs[j])) for j in (i, i + 1))
 
         return MonotonicityVerdict("non_monotone", ts, vs, witness(int(np.argmax(diffs))),
                                    witness(int(np.argmin(diffs))), certified)
-    classification = "increasing" if ups.any() else "decreasing" if downs.any() else "constant"
+    classification = "increasing" if up else "decreasing" if down else "constant"
     return MonotonicityVerdict(classification, ts, vs, certified_range=certified)
 
 
@@ -236,7 +199,7 @@ _DIRECTION = {"increasing": "D_ge_I", "decreasing": "D_le_I", "constant": "equal
 
 
 def infer_ordering(copula: Copula, marginals, structure: str,
-                   grid=None, refine_budget: int = 256) -> OrderingVerdict:
+                   grid=None) -> OrderingVerdict:
     """Certify the hr (series) or rhr (parallel) order from the copula ratio."""
     if structure not in ("series", "parallel"):
         raise DomainError(f"structure must be series or parallel, got {structure!r}")
@@ -244,8 +207,7 @@ def infer_ordering(copula: Copula, marginals, structure: str,
     if grid is None:
         grid = default_grid(marginals)
     kind = "Chat_over_Chat1" if structure == "series" else "C_over_C1"
-    mono = classify_monotonicity(ratio_function(copula, marginals, kind), grid,
-                                 refine_budget=refine_budget)
+    mono = classify_monotonicity(ratio_function(copula, marginals, kind), grid)
     relation = "hr" if structure == "series" else "rhr"
     direction = _DIRECTION[mono.classification]
     proper = abs(float(copula.value(np.ones(copula.dim))) - 1.0) <= 1e-12
@@ -267,8 +229,7 @@ class Theorem1Result:
 _THEOREM1_INEQUALITIES = ("P_I >= S_I", "P_I >= S_D", "P_D >= S_I", "P_D >= S_D")
 
 
-def verify_theorem1(copula: Copula, marginals, grid=None,
-                    slack_tol: float = 1e-10) -> Theorem1Result:
+def verify_theorem1(copula: Copula, marginals, grid=None) -> Theorem1Result:
     """Check F_P^I, F_P^D >= F_S^I, F_S^D (as survival functions) pointwise."""
     parallel, series = (_dependent(copula, marginals, s) for s in ("parallel", "series"))
     if grid is None:
@@ -283,7 +244,7 @@ def verify_theorem1(copula: Copula, marginals, grid=None,
                               worst_inequality="")
     at = int(np.argmin(slack))  # the first minimum in (t, inequality) order
     worst = float(slack[at])
-    return Theorem1Result(passed=bool(worst >= -slack_tol), worst_slack=worst,
+    return Theorem1Result(passed=bool(worst >= -_SLACK_TOL), worst_slack=worst,
                           worst_t=float(t[at // 4]),
                           worst_inequality=_THEOREM1_INEQUALITIES[at % 4])
 
@@ -319,8 +280,7 @@ class LrResult:
     worst_at: float
 
 
-def check_lr_linear_spearman(theta: float, marginals, grid=None,
-                             tol: float = 1e-8) -> LrResult:
+def check_lr_linear_spearman(theta: float, marginals, grid=None) -> LrResult:
     """Likelihood-ratio check for the linear Spearman parallel system.
 
     For identically distributed components with decreasing reversed
@@ -364,7 +324,7 @@ def check_lr_linear_spearman(theta: float, marginals, grid=None,
         worst, worst_at = float(increases[at]), float(grid[at])
     else:
         worst, worst_at = 0.0, float("nan")
-    return LrResult(passed=bool(worst <= tol), grid=grid, ratio=ratio, worst_increase=worst,
+    return LrResult(passed=bool(worst <= _LR_TOL), grid=grid, ratio=ratio, worst_increase=worst,
                     worst_at=worst_at)
 
 

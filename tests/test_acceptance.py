@@ -426,7 +426,7 @@ def test_criterion_8_monte_carlo():
 def test_criterion_9_linear_spearman_lr():
     worst = -np.inf
     for theta in (0.25, 0.5, 0.9):
-        res = check_lr_linear_spearman(theta, MARGINALS, tol=1e-8)
+        res = check_lr_linear_spearman(theta, MARGINALS)
         worst = max(worst, res.worst_increase)
         assert res.passed, f"theta={theta}: worst increase {res.worst_increase:.2e}"
     ok = worst <= 1e-8
