@@ -99,7 +99,7 @@ class Copula:
     obeys the field's interval, and ``dim`` defaults to the first one's
     length.  A new family is a frozen dataclass giving ``family``,
     ``domain``, ``vectors`` if any, ``_raw`` and, for a kernel that switches
-    branch, ``_switch_v2``.
+    branch, ``_kink``.
 
     Parameters are checked once, when an instance is built: an instance
     outside its domain raises DomainError listing the scalar entries in
@@ -153,13 +153,24 @@ class Copula:
         and ``_prod``, branching through numpy comparisons, ``minimum``/
         ``maximum`` or ``where``; no ``abs``, ``float()`` or other ``math``),
         because ``montecarlo.conditional_cdf`` takes a complex step through
-        it; where it switches branch in u2 is ``_switch_v2``."""
+        it; where it switches branch is ``_kink``."""
         raise NotImplementedError
 
-    def _switch_v2(self, v1: np.ndarray) -> np.ndarray | None:
-        """The v2 at which the bivariate kernel switches branch when u1 = v1,
-        or None for a smooth kernel; the sampler splits its bracket there."""
+    def _kink(self) -> tuple[tuple[float, ...], tuple[bool, ...]] | None:
+        """(scale, flipped) of a kernel that switches branch wherever phi_i(u_i) =
+        phi_j(u_j) for two coordinates, phi_i(u) = scale_i ln u, or scale_i
+        ln(1 - u) where flipped_i, each scale_i > 0; None for a smooth kernel."""
         return None
+
+    def _switch_v2(self, v1: np.ndarray) -> np.ndarray | None:
+        """The v2 where the bivariate kernel switches branch when u1 = v1, phi_2(v2)
+        = phi_1(v1), or None for a smooth kernel; the sampler splits its bracket there."""
+        kink = self._kink()
+        if kink is None:
+            return None
+        (s1, s2), flipped = kink
+        w = (1.0 - v1 if flipped[0] else v1) ** (s1 / s2)
+        return 1.0 - w if flipped[1] else w
 
     def __post_init__(self):
         for name in self.vectors:
@@ -378,8 +389,8 @@ class MarshallOlkin(Copula):
     def _raw(self, *u):
         return _prod(u) * functools.reduce(np.minimum, [v**a for v, a in zip(u, self.alpha)])
 
-    def _switch_v2(self, v1):
-        return v1 ** (self.alpha[0] / self.alpha[1])
+    def _kink(self):
+        return self.alpha, (False,) * self.dim
 
 
 @dataclass(frozen=True)
@@ -444,8 +455,8 @@ class FischerHinzmann(Copula):
         safe = np.where(big > 0, big, 1.0)
         return big * (1.0 + (small / safe) ** self.m) ** (1.0 / self.m)
 
-    def _switch_v2(self, v1):
-        return v1
+    def _kink(self):
+        return (1.0,) * self.dim, (False,) * self.dim
 
 
 @dataclass(frozen=True)
@@ -502,8 +513,8 @@ class LinearSpearman(Copula):
             base + self.theta * (1.0 - u1) * (1.0 - u2),
         )
 
-    def _switch_v2(self, v1):
-        return v1 if self.theta >= 0.0 else 1.0 - v1
+    def _kink(self):  # u1 = u2 for theta >= 0, u1 = 1 - u2 below
+        return (1.0, 1.0), (False, self.theta < 0.0)
 
 
 FAMILIES: dict[str, type[Copula]] = {

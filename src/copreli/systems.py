@@ -16,6 +16,7 @@ its independent twin, and their log-ratio errors, from one ``sides`` call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +46,13 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Mean residual life quadrature: each panel keeps its 21-point Gauss-Legendre
-# value, and two lower-order rules estimate its error.  The 10-point Gauss
-# rule is the classic check.  The 12-point Gauss-Lobatto rule samples the
-# panel's ends, which no Gauss node comes near, so a kink close to a panel
-# edge (linear Spearman, Marshall-Olkin) still shows.  Either lower rule alone
-# can agree with the 21-point value by coincidence on a kinked panel.
+# value, and two lower-order rules estimate its error.  No Gauss node comes
+# near a panel's ends, so the pieces are split at the copula's kink times first
+# (``System._kinks``), as QUADPACK's qagp takes breakpoints.  The 12-point
+# Gauss-Lobatto rule samples the ends: a panel can still be smooth but nearly
+# singular at one, as sf is near t = 0 for a Weibull shape that is not an
+# integer, and there the 10-point rule alone can agree with the 21-point value
+# by coincidence (tests/test_systems.py, the Lobatto test: 3.6e-8 relative).
 _GAUSS21 = np.polynomial.legendre.leggauss(21)
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 _LOBATTO12 = _lobatto(12)
@@ -58,6 +61,8 @@ _START_PANELS = 4
 _MAX_PANELS = 200
 _RTOL = 1e-8
 _ATOL = 1e-14
+_CANDIDATES = 8  # t + s, t + 2s, ... meets the cap t + 50s by the 7th, or far out the 8th
+_KINK_PROBES = np.linspace(0.0, 1.0, 1024)  # exponents of the log-spaced kink probes
 
 
 def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +77,9 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     stay in the order a lone call keeps them and ``np.bincount`` adds them in
     that order, so each value is the one the integral gets alone.
     """
-    edges = np.linspace(a, b, _START_PANELS + 1, axis=-1)
+    # np.linspace's arithmetic, bit for bit, without its overhead
+    edges = a[:, None] + ((b - a) / _START_PANELS)[:, None] * np.arange(_START_PANELS + 1.0)
+    edges[:, -1] = b
     lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     owner = np.repeat(np.arange(a.size), _START_PANELS)
     panels = np.full(a.size, _START_PANELS)
@@ -210,15 +217,52 @@ class System:
         rate, code, _ = self._rates(_check_time(t), h)
         return defined_or_raise(t, rate[4], code[4])
 
+    def _kinks(self, lo: float, hi: float) -> np.ndarray:
+        """The sorted times in (lo, hi) where the copula switches branch
+        (``Copula._kink``), found from the marginals alone.  Each sign change of
+        ln(-phi_i(u_i)) - ln(-phi_j(u_j)), which has the sign changes of
+        phi_i - phi_j and is nearly linear in t, between 1024 log-spaced times
+        from max(lo, 1e-12 hi) to hi is refined by five Illinois steps."""
+        kink = self.copula._kink() if self.mode == "dependent" and self.n > 1 else None
+        if kink is None:
+            return np.empty(0)
+        scale, flipped = (np.array(x)[:, None] for x in kink)
+        on_cdf = flipped != (self.structure == "parallel")  # where phi_i reads a cdf
+        i, j = np.array(list(itertools.combinations(range(self.n), 2))).T
+
+        def gaps(x):
+            cdf = np.array([m.cdf(x) for m in self.marginals])
+            sf = np.array([m.sf(x) for m in self.marginals])
+            w, c = np.where(on_cdf, cdf, sf), np.where(on_cdf, sf, cdf)  # c = 1 - w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # ln w from the side that keeps its digits: far out, w rounds to 1
+                y = np.log(-scale * np.where(w > 0.5, np.log1p(-c), np.log(w)))
+                g = y[i] - y[j]
+            return np.where(np.isfinite(g), g, np.nan)  # where a side underflows
+
+        first = max(lo, 1e-12 * hi)
+        x = first * (hi / first) ** _KINK_PROBES
+        g = gaps(x)
+        pair, k = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
+        a, b, fa, fb = x[k], x[k + 1], g[pair, k], g[pair, k + 1]
+        for _ in range(5 if pair.size else 0):
+            c = b - fb * ((b - a) / (fb - fa))
+            fc = gaps(c)[pair, np.arange(c.size)]
+            # Illinois: the end kept has its value halved
+            swap = fc * fb < 0.0
+            a, fa = np.where(swap, b, a), np.where(swap, fb, 0.5 * fa)
+            b, fb = c, fc
+        return np.unique(b[(lo < b) & (b < hi)])
+
     def _mrl(self, t: np.ndarray, sft=None) -> tuple[np.ndarray, list]:
         """Mean residual life at each t of a one-dimensional array and each
         point's error (None where it is defined), from sf at t (``sft``, one sf
         call if not given), one sf call at the truncation candidates of the
-        points above _SF_FLOOR and one batched quadrature of the gaps between
-        the distinct t that decay and one tail to the farthest truncation
-        point.  A t's integral is the sum of the pieces from it on: each piece
-        is >= 0 and within the tolerance relative to itself, so the sum is too,
-        and a failed piece fails every sum that holds it."""
+        points above _SF_FLOOR and one batched quadrature of the pieces between
+        the distinct t that decay and the kink times, and one tail to the
+        farthest truncation point.  A t's integral is the sum of the pieces from
+        it on: each is >= 0 and within the tolerance relative to itself, so the
+        sum is too, and a failed piece fails every sum that holds it."""
         if sft is None:
             sft = self.sf(t)
         errors = [SingularityError("survival function vanished", t=x) if s <= _SF_FLOOR
@@ -229,16 +273,20 @@ class System:
         cap = start + 50.0 * scale
         uppers = [start + scale]
         # far out, t + s == t: a t whose candidates stall there is refused below
-        while np.any((uppers[-1] < cap) & (uppers[-1] > start)):
+        for _ in range(_CANDIDATES - 1):
             uppers.append(np.minimum(cap, start + 2.0 * (uppers[-1] - start)))
         uppers = np.stack(uppers, axis=-1)
         values = self.sf(uppers.ravel()).reshape(uppers.shape)
         k = np.argmax((uppers >= cap[:, None]) | ~(values > 1e-12 * sft[:, None]), axis=1)
         upper, values = (x[np.arange(k.size), k] for x in (uppers, values))
         decays = ~(values > 1e-6 * sft)
-        left, owner = np.unique(start[decays], return_inverse=True)
-        right = np.append(left[1:], upper[decays].max()) if left.size else left
+        left = right = np.unique(start[decays])
+        if left.size:
+            far = upper[decays].max()
+            left = np.union1d(left, self._kinks(left[0], far))
+            right = np.append(left[1:], far)
         pieces, bad = _integrate(self.sf, left, right)
+        owner = np.searchsorted(left, start[decays])
         integral = np.cumsum(pieces[::-1])[::-1][owner]
         failed = np.logical_or.accumulate(bad[::-1])[::-1][owner]
         mrl = np.full(t.shape, np.nan)
@@ -260,7 +308,8 @@ class System:
         component mean, capped at t + 50s) where it has fallen to 1e-12 of
         sf(t); the integral then runs to the farthest such point of all t.  The
         candidates of all t are evaluated in one sf call, and the integrals
-        from one quadrature of the gaps between the t and one shared tail.
+        from one quadrature of the gaps between the t and the copula's kink
+        times, and one shared tail.
         """
         values, errors = self._mrl(np.atleast_1d(np.asarray(t, dtype=float)))
         _raise_first(errors)

@@ -20,6 +20,7 @@ from copreli import (
     MarshallOlkin,
     NelsenTen,
     RluExtended,
+    Weibull,
 )
 
 # family name -> (constructor from rng, valid dims)
@@ -58,6 +59,28 @@ FAMILY_SAMPLERS = {
 }
 
 
+# Parallel systems over Weibull margins, from the benchmark's curves workload
+# (seed 3 ops 465 and 321, seed 1 op 221), each with its 25-point grid: their
+# kinks include one in the tail, where cdf is near 1 and ln cdf keeps its
+# digits only as log1p(-sf).  The first one's is at t = 4.967.
+TAIL_KINK_CASES = [
+    (MarshallOlkin(alpha=(1.659284360805533, 0.5970673735000042, 0.20875211379498929)),
+     (Weibull(0.8331443062953705, 2.7624843361717994),
+      Weibull(0.6581707444820795, 2.3787852678720016),
+      Weibull(1.405839613071054, 1.4165278988798478)),
+     np.geomspace(0.04052643690224189, 2.5371762027119, 25)),
+    (MarshallOlkin(alpha=(1.6269212968453515, 0.5621783759785556, 0.14991088680229417)),
+     (Weibull(0.6028581879106173, 2.925994997473085),
+      Weibull(0.7230262508975946, 2.1864673271120165),
+      Weibull(1.2848410364525455, 1.7050668469772878)),
+     np.geomspace(0.057675336131048596, 2.60552308515351, 25)),
+    (LinearSpearman(theta=0.5261538580514071),
+     (Weibull(1.573655305210107, 0.8120587896250466),
+      Weibull(0.8468082537985209, 1.4331706661889712)),
+     np.geomspace(0.0027505024879786945, 2.545712518863124, 25)),
+]
+
+
 def random_instance(family: str, rng: np.random.Generator, dim: int = 2):
     maker, dims = FAMILY_SAMPLERS[family]
     if dim not in dims:
@@ -68,6 +91,9 @@ def random_instance(family: str, rng: np.random.Generator, dim: int = 2):
 def families_for_dim(dim: int):
     return [name for name, (_, dims) in FAMILY_SAMPLERS.items() if dim in dims]
 
+
+# the families whose kernel switches branch (a min, max or case split)
+KINKED_FAMILIES = ("marshall_olkin", "fischer_hinzmann", "linear_spearman")
 
 # every (family, dim) pair that FAMILY_SAMPLERS covers, for property tests
 FAMILY_CASES = [(name, dim) for name, (_, dims) in FAMILY_SAMPLERS.items() for dim in dims]

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import families_for_dim, random_instance
+from conftest import KINKED_FAMILIES, families_for_dim, random_instance
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -191,7 +191,6 @@ def test_sampler_covers_every_proper_family():
 # the conditional sampler: complex-step h-function and its inverse
 # ---------------------------------------------------------------------------
 
-KINKED_FAMILIES = ["marshall_olkin", "fischer_hinzmann", "linear_spearman"]
 SMOOTH_FAMILIES = [f for f in families_for_dim(2) if f not in KINKED_FAMILIES]
 
 

@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_CASES, random_instance, random_marginals, wide_grid
+import copreli.systems
+from conftest import (FAMILY_CASES, TAIL_KINK_CASES, random_instance, random_marginals,
+                      wide_grid)
 from copreli import (
     Copula,
     Exponential,
     Fgm,
+    LinearSpearman,
     System,
     SystemPair,
     Weibull,
@@ -261,3 +264,39 @@ def test_the_lr_check_evaluates_the_pair_once_per_side_of_the_stencil():
         check_lr_linear_spearman(0.5, marginals, GRID)
     # two cdf calls check the marginals' reversed hazards, four give both cdfs at t -+ h
     assert counts == {"value": 2, "marginal": 2 + 4, "log_derivative": 0}
+
+
+def integrate_rounds(fn) -> list[int]:
+    """The rounds (integrand calls) of each ``_integrate`` call that ``fn()`` makes."""
+    rounds = []
+    real = copreli.systems._integrate
+
+    def counted(f, a, b):
+        rounds.append(0)
+
+        def integrand(x):
+            rounds[-1] += 1
+            return f(x)
+        return real(integrand, a, b)
+
+    with mock.patch.object(copreli.systems, "_integrate", counted):
+        fn()
+    return rounds
+
+
+@pytest.mark.parametrize("copula,marginals,structure,grid,one_at_a_time", [
+    # test_systems.py's test_mrl_across_the_linear_spearman_kink, which calls
+    # mrl one t at a time
+    (LinearSpearman(theta=-0.49), (Exponential(1.0), Exponential(2.0)), "series",
+     np.array([0.0, 0.2, 0.45, 0.48, 0.49, 1.5]), True),
+    *((copula, marginals, "parallel", grid, False)
+      for copula, marginals, grid in TAIL_KINK_CASES)])
+def test_a_kinked_mrl_settles_in_at_most_two_rounds(copula, marginals, structure, grid,
+                                                    one_at_a_time):
+    # split at its kink times, every piece is smooth: an error check on a
+    # panel that straddled a kink would keep halving the panels next to it
+    system = System(marginals, structure, "dependent", copula)
+    calls = [grid[i:i + 1] for i in range(grid.size)] if one_at_a_time else [grid]
+    rounds = integrate_rounds(lambda: [system.mrl(t) for t in calls])
+    assert len(rounds) == len(calls)
+    assert max(rounds) <= 2

@@ -1,15 +1,19 @@
+import itertools
 import json
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copreli.systems
 from conftest import (
     FAMILY_CASES,
+    KINKED_FAMILIES,
+    TAIL_KINK_CASES,
     assert_same_integrals,
     deadline,
     families_for_dim,
@@ -25,7 +29,9 @@ from copreli import (
     GumbelBarnet,
     Independence,
     IntegrationError,
+    FischerHinzmann,
     LinearSpearman,
+    MarshallOlkin,
     SingularityError,
     Clayton,
     CopreliError,
@@ -225,6 +231,21 @@ def test_mrl_across_the_linear_spearman_kink():
         assert s.mrl(t) == pytest.approx(tail(t) / sf(t), rel=1e-9)
 
 
+def test_the_lobatto_check_catches_a_panel_nearly_singular_at_its_end():
+    # sf of a Weibull shape of 0.992 is not smooth at t = 0, just left of the
+    # first panel of the integral from t = 0.0015673: there the Gauss-10
+    # value agrees with the Gauss-21 one by coincidence, and without the
+    # Gauss-Lobatto check that panel settles 3.6e-8 off (3.6 tolerances)
+    marginals = (Weibull(1.685464838777997, 0.992065619484427),
+                 Weibull(1.0280783376462523, 1.7438697554940399))
+    system = make("series", "dependent", Amh(alpha=-0.23681177266322262), marginals)
+    t = 0.0015673092435731133
+    with mpmath.workdps(17):
+        x = mpmath.mpf(t)
+        tail = mpmath.quad(lambda u: mp_sf(system, u), [x, x + 0.1, x + 1.0, x + 4.0, 40.0])
+        assert system.mrl(t) == pytest.approx(float(tail / mp_sf(system, x)), rel=1e-9, abs=0.0)
+
+
 def test_mrl_refuses_a_survival_function_that_does_not_decay():
     # the literal Fischer-Hinzmann form has C(1, 1) = sqrt(1/2), so the
     # parallel survival function 1 - C(u) levels off near 0.29
@@ -240,28 +261,50 @@ def test_mrl_truncation_matches_the_doubling_search(monkeypatch):
         sft = system.sf(t)
         scale = max(m.mean() for m in system.marginals)
         cap = t + 50.0 * scale
-        upper = t + scale
-        while upper < cap and system.sf(upper) > 1e-12 * sft:
-            upper = min(cap, t + 2.0 * (upper - t))
-        return upper, system.sf(upper) > 1e-6 * sft
+        upper, candidates = t + scale, 1
+        while upper < cap and upper > t and system.sf(upper) > 1e-12 * sft:
+            upper, candidates = min(cap, t + 2.0 * (upper - t)), candidates + 1
+        return upper, system.sf(upper) > 1e-6 * sft, candidates
 
     uppers = []
     real = copreli.systems._integrate
     monkeypatch.setattr(copreli.systems, "_integrate",
                         lambda f, a, b: uppers.append(b) or real(f, a, b))
-    cases = [make("series", "independent"),
-             make("parallel", "dependent", Fgm(alpha=-0.7), (E1, Weibull(0.5, 0.8))),
-             make("parallel", "dependent", parse_copula("fischer_hinzmann:m=2.0,alpha=0.5"),
-                  (E1, E2))]
-    for system in cases:
-        for t in (0.0, 0.7, 4.0):
-            upper, refused = doubling_search(system, t)
+    levels_off = parse_copula("fischer_hinzmann:m=2.0,alpha=0.5")
+    cases = [(make("series", "independent"), (0.0, 0.7, 4.0)),
+             (make("parallel", "dependent", Fgm(alpha=-0.7), (E1, Weibull(0.5, 0.8))),
+              (0.0, 0.7, 4.0)),
+             (make("parallel", "dependent", levels_off, (E1, E2)), (0.0, 0.7, 4.0)),
+             # far out t + s rounds to t + 2 and the cap to t + 144: the search
+             # takes all 8 candidates t + 2, t + 4, ..., t + 128, t + 144
+             (make("parallel", "dependent", levels_off, (Exponential(1.0 / 2.9), E1)), (1e16,))]
+    most = 0
+    for system, times in cases:
+        for t in times:
+            upper, refused, candidates = doubling_search(system, t)
+            most = max(most, candidates)
             if refused:
-                with pytest.raises(IntegrationError, match="not decaying"):
+                with pytest.raises(IntegrationError) as info:
                     system.mrl(t)
+                assert str(info.value) == (f"survival function is not decaying on ({t}, "
+                                           f"{upper}); refusing to truncate")
             else:
                 system.mrl(t)
-                assert uppers.pop() == upper
+                assert uppers.pop()[-1] == upper  # the tail ends the last piece
+    assert most == copreli.systems._CANDIDATES == 8
+
+
+def test_a_start_just_below_a_power_of_two_does_not_hang_the_truncation_search():
+    # t + 2 (u - t) rounds back to u = 2**26 > t forever, short of the cap:
+    # a search that doubles until it meets the cap would never end
+    s = 4.6397147595773715e-09
+    twins = (Exponential(1.0 / s), Exponential(1.0 / s))
+    system = make("parallel", "dependent", parse_copula("fischer_hinzmann:m=2.0,alpha=0.5"), twins)
+    t = 67108863.99999999
+    with deadline(20), pytest.raises(IntegrationError) as info:
+        system.mrl(t)
+    assert str(info.value) == (f"survival function is not decaying on ({t}, 67108864.0); "
+                               "refusing to truncate")
 
 
 def test_quadrature_panel_budget():
@@ -393,23 +436,167 @@ def mp_sf(system, t):
     return 1 - system.copula._raw(*(np.array([1 - x], dtype=object) for x in sf))[0]
 
 
-@pytest.mark.parametrize("structure", ["series", "parallel"])
-@pytest.mark.parametrize("copula", [Clayton(alpha=2.5), Fgm(alpha=-0.6), Amh(alpha=0.7),
-                                    Clayton(alpha=0.6, dim=3), Fgm(alpha=0.8, dim=3),
-                                    Amh(alpha=-0.5, dim=3)], ids=repr)
+def mp_kink_gaps(system, t) -> list:
+    """Functions of t at mpmath precision, one per pair of coordinates, whose
+    sign changes are where the copula kernel switches branch: a_i ln u_i =
+    a_j ln u_j for Marshall-Olkin (a_i = 1 for Fischer-Hinzmann), u_1 = u_2 for
+    linear Spearman with theta >= 0 and u_1 = 1 - u_2 with theta < 0; u holds
+    the sf values of a series system and the cdf values of a parallel one.
+    Each is compared on a scale that keeps its digits far out."""
+    z = [m.lam * t if isinstance(m, Exponential) else (m.lam * t) ** m.k
+         for m in system.marginals]  # -ln sf
+    series = system.structure == "series"
+    cop = system.copula
+    if isinstance(cop, LinearSpearman):
+        if cop.theta >= 0.0:
+            return [z[0] - z[1]]
+        u = [mpmath.exp(-x) if series else -mpmath.expm1(-x) for x in z]
+        return [u[0] + u[1] - 1]
+    weights = cop.alpha if isinstance(cop, MarshallOlkin) else (1.0,) * cop.dim
+    # ln of a_i (-ln u_i)
+    logs = [mpmath.log(a * (x if series else -mpmath.log(-mpmath.expm1(-x)) if x < 1
+                            else -mpmath.log1p(-mpmath.exp(-x)))) for a, x in zip(weights, z)]
+    return [logs[i] - logs[j] for i, j in itertools.combinations(range(cop.dim), 2)]
+
+
+def mp_kinks(system, hi: float) -> list:
+    """The kink times in (0, hi), bracketed on 400 log-spaced times from 1e-6
+    and each settled by ``mpmath.findroot``."""
+    times = np.geomspace(1e-6, hi, 400)
+    gaps = np.array([[float(g) for g in mp_kink_gaps(system, mpmath.mpf(x))] for x in times]).T
+    kinks = []
+    for pair, k in zip(*np.nonzero(gaps[:, :-1] * gaps[:, 1:] < 0)):
+        kinks.append(mpmath.findroot(lambda x: mp_kink_gaps(system, x)[pair],
+                                     (times[k], times[k + 1]), solver="anderson"))
+    return sorted(kinks)
+
+
+def kink_gaps(system, t: np.ndarray) -> np.ndarray:
+    """``mp_kink_gaps`` in floats, a row per pair at an array of times; NaN
+    where a side underflows."""
+    z = np.array([m.lam * t if isinstance(m, Exponential) else (m.lam * t) ** m.k
+                  for m in system.marginals])
+    series = system.structure == "series"
+    cop = system.copula
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if isinstance(cop, LinearSpearman):
+            u = np.exp(-z) if series else -np.expm1(-z)
+            gaps = [z[0] - z[1] if cop.theta >= 0.0 else u[0] + u[1] - 1.0]
+        else:
+            weights = cop.alpha if isinstance(cop, MarshallOlkin) else (1.0,) * cop.dim
+            w = z if series else np.where(z < 1.0, -np.log(-np.expm1(-z)),
+                                          -np.log1p(-np.exp(-z)))
+            logs = np.log(np.array(weights)[:, None] * w)
+            gaps = [logs[i] - logs[j] for i, j in itertools.combinations(range(cop.dim), 2)]
+    gaps = np.array(gaps)
+    return np.where(np.isfinite(gaps), gaps, np.nan)
+
+
+def mrl_kinks(system, grid) -> tuple[np.ndarray, float]:
+    """The times that ``system._mrl(grid)`` splits its quadrature at besides the
+    grid, and the end of its tail (NaN if it integrates nothing)."""
+    calls = []
+    real = copreli.systems._integrate
+    with mock.patch.object(copreli.systems, "_integrate",
+                           lambda f, a, b: calls.append((a, b)) or real(f, a, b)):
+        system._mrl(grid)
+    left, right = calls[0]
+    return np.setdiff1d(left, grid), (right[-1] if right.size else np.nan)
+
+
+@st.composite
+def kinked_systems(draw):
+    """A dependent system over a kinked ``FAMILY_SAMPLERS`` family and random
+    Exponential and Weibull margins, and a wide grid from t = 0."""
+    family, dim = draw(st.sampled_from([c for c in FAMILY_CASES if c[0] in KINKED_FAMILIES]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    marginals = random_marginals(rng, dim)
+    structure = draw(st.sampled_from(("series", "parallel")))
+    copula = random_instance(family, rng, dim)
+    return System(marginals, structure, "dependent", copula), wide_grid(marginals)
+
+
+def tail_kink_system(case) -> tuple:
+    copula, marginals, grid = case
+    return System(marginals, "parallel", "dependent", copula), grid
+
+
+@given(kinked_systems())
+@example(tail_kink_system(TAIL_KINK_CASES[0]))
+@example(tail_kink_system(TAIL_KINK_CASES[1]))
+@example(tail_kink_system(TAIL_KINK_CASES[2]))
+@settings(max_examples=20, deadline=None)
+def test_mrl_splits_at_every_kink_a_dense_scan_finds(system_and_grid):
+    # every sign change of a pair's gap between neighbours of 4,001 log-spaced
+    # times over the span holds a split, and every split is a sign change
+    system, grid = system_and_grid
+    found, end = mrl_kinks(system, grid)
+    if np.isnan(end):
+        assert found.size == 0
+        return
+    dense = np.geomspace(grid[grid > 0][0], end, 4001)
+    gaps = kink_gaps(system, dense)
+    for k in np.nonzero(gaps[:, :-1] * gaps[:, 1:] < 0)[1]:
+        assert np.any((dense[k] * (1 - 1e-9) <= found) & (found <= dense[k + 1] * (1 + 1e-9)))
+    below, above = kink_gaps(system, found * (1 - 1e-9)), kink_gaps(system, found * (1 + 1e-9))
+    assert np.all(np.any(below * above < 0, axis=0))
+
+
+@given(case=st.sampled_from([c for c in FAMILY_CASES if c[0] not in KINKED_FAMILIES]),
+       seed=st.integers(0, 2**32 - 1), structure=st.sampled_from(("series", "parallel")))
+@settings(max_examples=20, deadline=None)
+def test_smooth_families_report_no_kinks(case, seed, structure):
+    family, dim = case
+    rng = np.random.default_rng(seed)
+    marginals = random_marginals(rng, dim)
+    system = System(marginals, structure, "dependent", random_instance(family, rng, dim))
+    assert system._kinks(0.0, 1e3).size == 0
+    assert mrl_kinks(system, wide_grid(marginals))[0].size == 0
+
+
+SMOOTH_REFERENCE_COPULAS = [Clayton(alpha=2.5), Fgm(alpha=-0.6), Amh(alpha=0.7),
+                            Clayton(alpha=0.6, dim=3), Fgm(alpha=0.8, dim=3),
+                            Amh(alpha=-0.5, dim=3)]
+# the literal Fischer-Hinzmann form levels off in parallel: its corrected one decays
+KINKED_REFERENCE_CASES = [
+    *((cop, structure) for structure in ("series", "parallel") for cop in (
+        MarshallOlkin(alpha=(0.6, 1.7)), MarshallOlkin(alpha=(1.3, 2.2, 0.4)),
+        LinearSpearman(theta=0.6), LinearSpearman(theta=-0.7))),
+    (FischerHinzmann(m=2.5, alpha=0.4), "series"),
+    (FischerHinzmann(m=2.5, alpha=0.4, dim=3), "series"),
+    (FischerHinzmann(m=2.5, alpha=0.4, corrected=True), "parallel"),
+    (FischerHinzmann(m=2.5, alpha=0.4, dim=3, corrected=True), "parallel"),
+]
+
+
+@pytest.mark.parametrize("copula, structure", [
+    *(pytest.param(cop, structure, id=f"{cop!r}-{structure}")
+      for cop in SMOOTH_REFERENCE_COPULAS for structure in ("series", "parallel")),
+    *(pytest.param(cop, structure, id=f"{cop!r}-{structure}")
+      for cop, structure in KINKED_REFERENCE_CASES)])
 def test_grid_mrl_matches_an_mpmath_reference(copula, structure):
     # a reference that shares only the copula kernel with the grid path:
-    # tanh-sinh quadrature of sf over (t, inf) at 17 digits, one t at a time
+    # tanh-sinh quadrature of sf over (t, end) at 17 digits, one t at a time,
+    # with breakpoints at the kink times it finds itself.  Past the last grid
+    # point sf is below 1e-20; in the kernel's float parameters the corrected
+    # Fischer-Hinzmann C(1, 1) misses 1 by an ulp, so sf levels off at 1e-16
+    # there instead of vanishing, which an integral to infinity would sum.
     marginals = (Exponential(1.3), Weibull(0.7, 1.8), Weibull(1.1, 0.8))[:copula.dim]
     system = System(marginals, structure, "dependent", copula)
     curve = system.curve(wide_grid(marginals, points=6))
+    end = mpmath.mpf(curve.grid[-1])
     checked = 0
     with mpmath.workdps(17):
+        kinks = []
+        if copula._kink() is not None:
+            kinks = mp_kinks(system, curve.grid[-1])
+            assert kinks
         for t, sf, mrl in zip(curve.grid, curve.sf, curve.mrl):
             if sf < 1e-9:
                 continue
             x = mpmath.mpf(float(t))
-            tail = mpmath.quad(lambda u: mp_sf(system, u), [x, x + 4.0, mpmath.inf])
+            points = sorted({x, min(x + 4.0, end), *(k for k in kinks if k > x), end})
+            tail = mpmath.quad(lambda u: mp_sf(system, u), points)
             assert mrl == pytest.approx(float(tail / mp_sf(system, x)), rel=1e-9, abs=0.0)
             checked += 1
     assert checked >= 4
