@@ -12,8 +12,9 @@ Subcommands::
 Every run is deterministic given its configuration (including the seed).
 Exit codes: 0 ok, 2 configuration error, 3 numerical error, 4 verification
 failure.  Each option is defined once, as a field of ``RunConfig``, and is
-both a flag (``--grid-min``) and a config-file key (``grid_min``).  A config
-file of ``key = value`` lines can stand in for flags; its values are
+both a flag (``--grid-min``) and a config-file key (``grid_min``) of the
+subcommands that read it; any other subcommand refuses it with exit 2.  A
+config file of ``key = value`` lines can stand in for flags; its values are
 converted and checked by the flags' own parser, and explicit flags win.
 Every output (csv, json or md) is written by ``copreli.tables``.
 """
@@ -58,12 +59,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
+_GRID = ("eval", "error-table")  # the subcommands that read a time grid
+_SYSTEM = (*_GRID, "ordering")  # ... a structure
+_COPULA = (*_SYSTEM, "verify", "sample")  # ... a copula
+_ALL = (*_COPULA, "table1")
 
-def _option(default=None, **flag):
+
+def _option(commands, default=None, **flag):
     """A RunConfig field set by the flag ``--<name>`` and the config key
-    ``<name>``; ``flag`` holds the argparse keywords (type, choices, action,
-    help), which convert and check a config-file value too."""
-    return field(default=default, metadata=flag)
+    ``<name>`` of the subcommands in ``commands``, those that read it; ``flag``
+    holds the argparse keywords (type, choices, action, help), which convert
+    and check a config-file value too."""
+    return field(default=default, metadata={"commands": commands, "flag": flag})
 
 
 @dataclass
@@ -71,20 +78,21 @@ class RunConfig:
     """Resolved configuration of one CLI run."""
 
     command: str = "eval"
-    copula: str | None = _option(help="copula spec, e.g. fgm:alpha=0.5")
+    copula: str | None = _option(_COPULA, help="copula spec, e.g. fgm:alpha=0.5")
     marginal: list[str] = field(default_factory=list, metadata={
-        "action": "append", "help": "marginal spec, e.g. exp:1.0 (repeatable)"})
-    structure: str = _option("series", choices=["series", "parallel"])
-    mode: str | None = _option(choices=["dependent", "independent"])
-    grid_min: float | None = _option(type=float)
-    grid_max: float | None = _option(type=float)
-    grid_count: int = _option(25, type=int)
-    grid_spacing: str = _option("log", choices=["log", "linear"])
-    format: str = _option("csv", choices=["csv", "json", "md"])
-    measure: str = _option("sf", choices=["sf", "hr", "rhr", "mrl"])
-    seed: int = _option(20240901, type=int)
-    samples: int = _option(10000, type=int)
-    role: str = _option("distribution", choices=["distribution", "survival"])
+        "commands": _ALL,
+        "flag": {"action": "append", "help": "marginal spec, e.g. exp:1.0 (repeatable)"}})
+    structure: str = _option(_SYSTEM, "series", choices=["series", "parallel"])
+    mode: str | None = _option(("eval",), choices=["dependent", "independent"])
+    grid_min: float | None = _option(_GRID, type=float)
+    grid_max: float | None = _option(_GRID, type=float)
+    grid_count: int = _option(_GRID, 25, type=int)
+    grid_spacing: str = _option(_GRID, "log", choices=["log", "linear"])
+    format: str = _option(_ALL, "csv", choices=["csv", "json", "md"])
+    measure: str = _option(("error-table",), "sf", choices=["sf", "hr", "rhr", "mrl"])
+    seed: int = _option(("sample",), 20240901, type=int)
+    samples: int = _option(("sample",), 10000, type=int)
+    role: str = _option(("sample",), "distribution", choices=["distribution", "survival"])
 
     # --- resolution helpers -------------------------------------------------
 
@@ -125,17 +133,19 @@ class RunConfig:
 _OPTIONS = tuple(f for f in fields(RunConfig) if f.metadata)
 
 
-def _add_options(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     for f in _OPTIONS:
-        parser.add_argument("--" + f.name.replace("_", "-"), **f.metadata)
+        if command in f.metadata["commands"]:
+            parser.add_argument("--" + f.name.replace("_", "-"), **f.metadata["flag"])
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines through the flags' own parser, so each value
-    is converted and checked as its flag is; errors carry line numbers."""
+def parse_config_text(text: str, command: str) -> dict:
+    """Parse ``key = value`` lines for ``command`` through its flags' own
+    parser, so each value is converted and checked as its flag is and a key
+    it does not read is refused; errors carry line numbers."""
     parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    _add_options(parser)
-    names = {f.name for f in _OPTIONS}
+    _add_options(parser, command)
+    names = {f.name for f in _OPTIONS if command in f.metadata["commands"]}
     values = argparse.Namespace()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,7 +158,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}",
                               token=raw.strip())
         if key not in names:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}", token=key)
+            raise ConfigError(f"config line {lineno}: {command} does not read {key!r}", token=key)
         try:
             parser.parse_args([f"--{key.replace('_', '-')}={value}"], namespace=values)
         except argparse.ArgumentError as exc:
@@ -302,8 +312,8 @@ def _cmd_sample(config: RunConfig):
     batch = sample_bivariate(copula, marginals, n_samples=config.samples,
                              seed=config.seed, role=config.role)
     pairs = {"t1": batch.t1, "t2": batch.t2}
-    return _Result(partial(tables.to_csv, pairs.keys(), pairs.values()), pairs,
-                   indent=None), EXIT_OK
+    write = tables.to_markdown if config.format == "md" else tables.to_csv
+    return _Result(partial(write, pairs.keys(), pairs.values()), pairs, indent=None), EXIT_OK
 
 
 # a subcommand's docstring is its line in ``copreli --help``
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _DISPATCH.items():
         p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="config file of key = value lines (flags win)")
-        _add_options(p)
+        _add_options(p, name)
         p.add_argument("--output", help="write to this file instead of stdout")
     return parser
 
@@ -337,11 +347,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                values = parse_config_text(fh.read())
+                values = parse_config_text(fh.read(), args.command)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
     for f in _OPTIONS:
-        if getattr(args, f.name) is not None:
+        if getattr(args, f.name, None) is not None:  # a subcommand has its own flags only
             values[f.name] = getattr(args, f.name)
     return RunConfig(command=args.command, **values)
 

@@ -442,14 +442,15 @@ class FischerHinzmann(Copula):
     def _raw(self, *u):
         least = functools.reduce(np.minimum, u)
         prod_u = _prod(u)
+        if self.corrected:
+            # least (1 - (1 - alpha)(1 - r^m))^(1/m) with r = prod/least in [0, 1]:
+            # C(1, ..., 1) is 1 exactly, and an r^m that underflows leaves alpha^(1/m) least
+            r = prod_u / np.where(least > 0, least, 1.0)
+            return least * (1.0 - (1.0 - self.alpha) * (1.0 - r ** self.m)) ** (1.0 / self.m)
         # factor out the dominant term before taking m-th powers so large m
         # cannot underflow the sum
-        if self.corrected:
-            x = least * self.alpha ** (1.0 / self.m)
-            y = prod_u * (1.0 - self.alpha) ** (1.0 / self.m)
-        else:
-            x = self.alpha * least
-            y = (1.0 - self.alpha) * prod_u
+        x = self.alpha * least
+        y = (1.0 - self.alpha) * prod_u
         big = np.maximum(x, y)
         small = np.minimum(x, y)
         safe = np.where(big > 0, big, 1.0)

@@ -1,9 +1,10 @@
 """Univariate lifetime distributions feeding u_i(t) = F_i(t) and uhat_i(t) = 1 - F_i(t).
 
-Two parametric families ship: exponential (constant hazard) and Weibull
-(power-law hazard).  Both expose closed-form cdf/sf/pdf/hazard/reversed
-hazard/quantile so every downstream quantity can be cross-checked without
-root finding.
+One parametric family ships: Weibull (power-law hazard), with exponential
+(constant hazard) as its shape-1 subclass.  Closed-form cdf/sf/pdf/hazard/
+reversed hazard/quantile let every downstream quantity be cross-checked
+without root finding.  At shape 1 each is the exponential form bit for bit,
+as x ** 1.0 == x, x ** 0.0 == 1.0 (at 0 and inf too) and gamma(2) == 1.
 
 Spec strings: ``exp:LAMBDA`` and ``weibull:LAMBDA,K``.
 """
@@ -11,7 +12,7 @@ Spec strings: ``exp:LAMBDA`` and ``weibull:LAMBDA,K``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,63 +34,6 @@ def _check_time(t):
     return t
 
 
-def _check_prob(p):
-    p = np.asarray(p, dtype=float)
-    if ((p < 0) | (p >= 1)).any():
-        raise DomainError("probability argument must lie in [0, 1)")
-    return p
-
-
-def _reversed_hazard(self, t):
-    """pdf / cdf; SingularityError at the first t where the cdf vanishes."""
-    tt = _check_time(t)
-    cdf = np.asarray(self.cdf(tt))
-    if np.any(cdf == 0.0):
-        raise SingularityError("reversed hazard undefined where the cdf vanishes",
-                               t=float(tt.flat[np.argmax(cdf == 0.0)]))
-    return scalar_or_array(np.asarray(self.pdf(tt)) / cdf)
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential lifetime with rate ``lam`` (per unit time): sf(t) = exp(-lam t)."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (is_real(self.lam) and self.lam > 0) or not math.isfinite(self.lam):
-            raise DomainError(f"exponential rate must be positive, got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))  # so spec_string prints a plain float
-
-    def cdf(self, t):
-        tt = _check_time(t)
-        return scalar_or_array(-np.expm1(-self.lam * tt))
-
-    def sf(self, t):
-        tt = _check_time(t)
-        return scalar_or_array(np.exp(-self.lam * tt))
-
-    def pdf(self, t):
-        tt = _check_time(t)
-        return scalar_or_array(self.lam * np.exp(-self.lam * tt))
-
-    def hazard(self, t):
-        tt = _check_time(t)
-        return scalar_or_array(np.full_like(tt, self.lam, dtype=float))
-
-    reversed_hazard = _reversed_hazard
-
-    def quantile(self, p):
-        pp = _check_prob(p)
-        return scalar_or_array(-np.log1p(-pp) / self.lam)
-
-    def mean(self) -> float:
-        return 1.0 / self.lam
-
-    def spec_string(self) -> str:
-        return f"exp:{self.lam!r}"
-
-
 @dataclass(frozen=True)
 class Weibull:
     """Weibull lifetime, sf(t) = exp(-(lam t)^k); hazard k lam^k t^(k-1)."""
@@ -98,11 +42,12 @@ class Weibull:
     k: float
 
     def __post_init__(self):
+        name = type(self).__name__.lower()
         if not (is_real(self.lam) and self.lam > 0) or not math.isfinite(self.lam):
-            raise DomainError(f"weibull rate must be positive, got {self.lam!r}")
+            raise DomainError(f"{name} rate must be positive, got {self.lam!r}")
         if not (is_real(self.k) and self.k > 0) or not math.isfinite(self.k):
-            raise DomainError(f"weibull shape must be positive, got {self.k!r}")
-        object.__setattr__(self, "lam", float(self.lam))
+            raise DomainError(f"{name} shape must be positive, got {self.k!r}")
+        object.__setattr__(self, "lam", float(self.lam))  # so spec_string prints a plain float
         object.__setattr__(self, "k", float(self.k))
 
     def cdf(self, t):
@@ -114,28 +59,30 @@ class Weibull:
         return scalar_or_array(np.exp(-((self.lam * tt) ** self.k)))
 
     def pdf(self, t):
+        """At t = 0: 0 for k > 1, lam for k = 1, +inf for k < 1."""
         tt = _check_time(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.k * self.lam * (self.lam * tt) ** (self.k - 1.0) * np.exp(
-                -((self.lam * tt) ** self.k)
-            )
-        # t = 0 limit: 0 for k > 1, lam for k = 1, +inf for k < 1
-        if self.k == 1.0:
-            out = np.where(np.asarray(tt) == 0, self.lam, out)
-        return scalar_or_array(out)
+            return scalar_or_array(self.k * self.lam * (self.lam * tt) ** (self.k - 1.0)
+                                   * np.exp(-((self.lam * tt) ** self.k)))
 
     def hazard(self, t):
         tt = _check_time(t)
         with np.errstate(divide="ignore"):
-            out = self.k * self.lam * (self.lam * tt) ** (self.k - 1.0)
-        if self.k == 1.0:
-            out = np.where(np.asarray(tt) == 0, self.lam, out)
-        return scalar_or_array(out)
+            return scalar_or_array(self.k * self.lam * (self.lam * tt) ** (self.k - 1.0))
 
-    reversed_hazard = _reversed_hazard
+    def reversed_hazard(self, t):
+        """pdf / cdf; SingularityError at the first t where the cdf vanishes."""
+        tt = _check_time(t)
+        cdf = np.asarray(self.cdf(tt))
+        if np.any(cdf == 0.0):
+            raise SingularityError("reversed hazard undefined where the cdf vanishes",
+                                   t=float(tt.flat[np.argmax(cdf == 0.0)]))
+        return scalar_or_array(np.asarray(self.pdf(tt)) / cdf)
 
     def quantile(self, p):
-        pp = _check_prob(p)
+        pp = np.asarray(p, dtype=float)
+        if ((pp < 0) | (pp >= 1)).any():
+            raise DomainError("probability argument must lie in [0, 1)")
         return scalar_or_array((-np.log1p(-pp)) ** (1.0 / self.k) / self.lam)
 
     def mean(self) -> float:
@@ -145,7 +92,22 @@ class Weibull:
         return f"weibull:{self.lam!r},{self.k!r}"
 
 
-Marginal = Exponential | Weibull
+@dataclass(frozen=True)
+class Exponential(Weibull):
+    """Exponential lifetime with rate ``lam`` (per unit time): sf(t) = exp(-lam t)."""
+
+    k: float = field(default=1.0, init=False, repr=False, compare=False)
+
+    # bench/tracing.py wraps each marginal method in its own class's __dict__
+    cdf, sf, pdf, hazard, reversed_hazard, quantile = (
+        Weibull.cdf, Weibull.sf, Weibull.pdf, Weibull.hazard, Weibull.reversed_hazard,
+        Weibull.quantile)
+
+    def spec_string(self) -> str:
+        return f"exp:{self.lam!r}"
+
+
+Marginal = Weibull  # Exponential is its shape-1 subclass
 
 
 def parse_marginal(spec: str) -> Marginal:

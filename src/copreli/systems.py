@@ -46,17 +46,16 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Mean residual life quadrature: each panel keeps its 21-point Gauss-Legendre
-# value, and two lower-order rules estimate its error.  No Gauss node comes
-# near a panel's ends, so the pieces are split at the copula's kink times first
-# (``System._kinks``), as QUADPACK's qagp takes breakpoints.  The 12-point
-# Gauss-Lobatto rule samples the ends: a panel can still be smooth but nearly
+# value, and the 12-point Gauss-Lobatto rule estimates its error.  No Gauss
+# node comes near a panel's ends, so the pieces are split at the copula's kink
+# times first (``System._kinks``), as QUADPACK's qagp takes breakpoints.  The
+# Lobatto rule samples the ends: a panel can still be smooth but nearly
 # singular at one, as sf is near t = 0 for a Weibull shape that is not an
-# integer, and there the 10-point rule alone can agree with the 21-point value
-# by coincidence (tests/test_systems.py, the Lobatto test: 3.6e-8 relative).
+# integer, where a Gauss rule can agree with the 21-point value by coincidence
+# (tests/test_systems.py, the Lobatto test: 3.6e-8 relative).
 _GAUSS21 = np.polynomial.legendre.leggauss(21)
-_GAUSS10 = np.polynomial.legendre.leggauss(10)
 _LOBATTO12 = _lobatto(12)
-_NODES = np.concatenate([_GAUSS21[0], _GAUSS10[0], _LOBATTO12[0]])
+_NODES = np.concatenate([_GAUSS21[0], _LOBATTO12[0]])
 _START_PANELS = 4
 _MAX_PANELS = 200
 _RTOL = 1e-8
@@ -70,7 +69,7 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     array, and the mask of those that failed (NaN).
 
     Adaptive bisection: each round evaluates every open panel of every integral
-    in one call of ``f``.  A panel is settled once both lower-order rules agree
+    in one call of ``f``.  A panel is settled once its Lobatto value agrees
     with its 21-point value to within its share, by width, of
     max(_ATOL, _RTOL * |integral|); the others are halved.  An integral fails
     when its partition would exceed _MAX_PANELS panels.  Each integral's panels
@@ -91,9 +90,7 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         values = f(x.ravel()).reshape(x.shape)
         # row sums, not BLAS products, whose rounding depends on the row count
         best = half * (values[:, :21] * _GAUSS21[1]).sum(axis=1)
-        gauss10 = half * (values[:, 21:31] * _GAUSS10[1]).sum(axis=1)
-        lobatto12 = half * (values[:, 31:] * _LOBATTO12[1]).sum(axis=1)
-        error = np.maximum(np.abs(best - gauss10), np.abs(best - lobatto12))
+        error = np.abs(best - half * (values[:, 21:] * _LOBATTO12[1]).sum(axis=1))
         tol = np.maximum(_ATOL, _RTOL * np.abs(settled + np.bincount(owner, best, a.size)))
         done = error <= tol[owner] * (hi - lo) / (b - a)[owner]
         settled += np.bincount(owner[done], best[done], a.size)

@@ -12,6 +12,7 @@ from copreli.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from copreli.cli import RunConfig, build_parser, parse_config_text
 
 LN2 = repr(math.log(2.0))
+TWO_EXP = ["--marginal", "exp:1", "--marginal", "exp:1"]
 
 
 def run(capsys, *argv):
@@ -326,38 +327,90 @@ def test_config_errors_carry_position(tmp_path, capsys):
 CHOICE_FIELDS = ("structure", "mode", "grid_spacing", "format", "measure", "role")
 
 
+def _readers(name):
+    """The subcommands that read the option ``name``."""
+    return next(f for f in fields(RunConfig) if f.name == name).metadata["commands"]
+
+
 @pytest.mark.parametrize("key", CHOICE_FIELDS)
 def test_config_values_are_checked_like_flags(tmp_path, capsys, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"copula = fgm:alpha=0.5\nmarginal = exp:1\nmarginal = exp:1\n{key} = bogus\n")
-    for command in ("eval", "table1"):
+    cfg.write_text(f"marginal = exp:1\nmarginal = exp:1\nformat = csv\n{key} = bogus\n")
+    for command in _readers(key):
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert out == ""
         assert "line 4" in err and key in err and "'bogus'" in err
 
 
-def _flag_actions(parser):
+def _flag_actions(parser, command):
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subcommands.choices["eval"]._actions if a.option_strings}
+    return {a.dest: a for a in subcommands.choices[command]._actions if a.option_strings}
+
+
+GRID = {"grid_min", "grid_max", "grid_count", "grid_spacing"}
+# the options each subcommand reads, as its code in copreli.cli reads them
+READS = {
+    "eval": {"copula", "marginal", "structure", "mode", *GRID, "format"},
+    "error-table": {"copula", "marginal", "structure", *GRID, "measure", "format"},
+    "ordering": {"copula", "marginal", "structure", "format"},
+    "table1": {"marginal", "format"},
+    "verify": {"copula", "marginal", "format"},
+    "sample": {"copula", "marginal", "seed", "samples", "role", "format"},
+}
+# a value each option's flag accepts
+GOOD = {"copula": "fgm:alpha=0.5", "marginal": "exp:1", "structure": "parallel",
+        "mode": "dependent", "grid_min": "0.5", "grid_max": "2", "grid_count": "3",
+        "grid_spacing": "linear", "format": "json", "measure": "hr", "seed": "3",
+        "samples": "5", "role": "survival"}
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    parser = build_parser()
+    for command, names in READS.items():
+        assert set(_flag_actions(parser, command)) - {"help", "config", "output"} == names
+
+
+@pytest.mark.parametrize("command", READS)
+def test_a_flag_or_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    for name in sorted(set(GOOD) - READS[command]):
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TWO_EXP, flag, GOOD[name]])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        cfg.write_text(f"marginal = exp:1\n{name} = {GOOD[name]}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == EXIT_CONFIG and out == ""
+        assert f"config line 2: {command} does not read {name!r}" in err
+
+
+def test_sample_writes_markdown(capsys):
+    code, out, _ = run(capsys, "sample", "--copula", "fgm:alpha=0.5", *TWO_EXP,
+                       "--samples", "3", "--format", "md")
+    assert code == EXIT_OK
+    assert data_lines(out)[:2] == ["| t1 | t2 |", "| --- | --- |"]
+    assert len(data_lines(out)) == 5
 
 
 def test_every_field_is_a_flag_and_a_config_key_parsed_alike():
     parser = build_parser()
-    actions = _flag_actions(parser)
     names = {f.name for f in fields(RunConfig)} - {"command"}
-    assert set(actions) - {"help", "config", "output"} == names
+    assert set().union(*READS.values()) == names
     # (values both accept, a value both refuse) by the flag's converter
     samples = {int: (["7"], "1.5"), float: (["0.5"], "abc"), None: (["exp:1"], None)}
     for name in sorted(names):
-        action = actions[name]
+        command = _readers(name)[0]
+        action = _flag_actions(parser, command)[name]
         good, bad = (action.choices, "bogus") if action.choices else samples[action.type]
         for value in good:
-            from_flag = getattr(parser.parse_args(["eval", action.option_strings[0], value]), name)
-            from_file = parse_config_text(f"{name} = {value}")[name]
+            argv = [command, action.option_strings[0], value]
+            from_flag = getattr(parser.parse_args(argv), name)
+            from_file = parse_config_text(f"{name} = {value}", command)[name]
             assert from_file == from_flag and type(from_file) is type(from_flag), name
         if bad is not None:
             with pytest.raises(SystemExit):
-                parser.parse_args(["eval", action.option_strings[0], bad])
+                parser.parse_args([command, action.option_strings[0], bad])
             with pytest.raises(ConfigError):
-                parse_config_text(f"{name} = {bad}")
+                parse_config_text(f"{name} = {bad}", command)

@@ -50,7 +50,6 @@ grid_max = 2.5
 grid_count = 6
 grid_spacing = linear
 format = json
-seed = 11
 """
 
 

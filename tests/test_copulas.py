@@ -231,6 +231,20 @@ def test_corrected_fischer_hinzmann_restores_margins():
         assert cop.value([uk, 1.0]) == pytest.approx(uk, abs=1e-12)
 
 
+@given(m=st.floats(1.0, 4.0), alpha=st.floats(0.0, 1.0), dim=st.integers(2, 3),
+       rates=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_corrected_fischer_hinzmann_is_one_where_every_coordinate_is(m, alpha, dim, rates):
+    cop = FischerHinzmann(m=m, alpha=alpha, dim=dim, corrected=True)
+    assert cop.value(np.ones(dim)) == 1.0
+    # so a parallel sf vanishes once every marginal cdf rounds to 1, not at 1e-16
+    marginals = tuple(Weibull(r, 1.0) for r in rates[:dim])
+    t = 40.0 / min(rates)
+    assert all(x.cdf(t) == 1.0 for x in marginals)
+    system = System(marginals=marginals, structure="parallel", mode="dependent", copula=cop)
+    assert system.sf(t) == 0.0
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coordinatewise_monotone(dim):
     rng = np.random.default_rng(74)

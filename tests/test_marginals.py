@@ -79,6 +79,56 @@ def test_exponential_quantile_roundtrip_property(lam, p):
     assert m.cdf(m.quantile(p)) == pytest.approx(p, rel=1e-10, abs=1e-12)
 
 
+EDGE_TIMES = [0.0, 5e-324, 1e-300, 700.0, 1e6, math.inf]
+
+
+def assert_bitwise(got, expected):
+    """Equal bit for bit, with the same type, dtype and shape."""
+    assert type(got) is type(expected)
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@given(lam=st.floats(1e-3, 1e3), ts=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
+       p=st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_exponential_is_the_shape_one_weibull_bit_for_bit(lam, ts, p):
+    # the exponential closed forms, written out
+    forms = {"cdf": lambda t: -np.expm1(-lam * t), "sf": lambda t: np.exp(-lam * t),
+             "pdf": lambda t: lam * np.exp(-lam * t), "hazard": lambda t: np.full_like(t, lam)}
+    m, w = Exponential(lam), Weibull(lam, 1.0)
+    for t in [*EDGE_TIMES, EDGE_TIMES, ts]:
+        x = np.asarray(t, dtype=float)
+        for name, form in forms.items():
+            expected = form(x)
+            expected = float(expected) if np.ndim(t) == 0 else expected
+            assert_bitwise(getattr(m, name)(t), expected)
+            assert_bitwise(getattr(w, name)(t), expected)
+        live = x[-np.expm1(-lam * x) > 0]
+        with np.errstate(over="ignore"):  # pdf / cdf overflows at a subnormal t
+            expected = lam * np.exp(-lam * live) / -np.expm1(-lam * live)
+            assert_bitwise(m.reversed_hazard(live), expected)
+            assert_bitwise(w.reversed_hazard(live), expected)
+    for q in [p, [0.0, p, 0.5]]:
+        expected = -np.log1p(-np.asarray(q)) / lam
+        expected = float(expected) if np.ndim(q) == 0 else expected
+        assert_bitwise(m.quantile(q), expected)
+        assert_bitwise(w.quantile(q), expected)
+    assert_bitwise(m.mean(), 1.0 / lam)
+    assert_bitwise(w.mean(), 1.0 / lam)
+    assert repr(m) == f"Exponential(lam={lam!r})" and m.spec_string() == f"exp:{lam!r}"
+    assert m == Exponential(lam) and hash(m) == hash((lam,))
+    assert m != w and w == Weibull(lam, 1.0)
+    with pytest.raises(SingularityError):
+        m.reversed_hazard(0.0)
+    with pytest.raises(DomainError) as err:
+        Exponential(-lam)
+    assert str(err.value) == f"exponential rate must be positive, got {-lam!r}"
+    with pytest.raises(TypeError):
+        Exponential(lam, 1.0)  # the shape is not a parameter
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         Exponential(0.0)

@@ -233,8 +233,8 @@ def test_mrl_across_the_linear_spearman_kink():
 
 def test_the_lobatto_check_catches_a_panel_nearly_singular_at_its_end():
     # sf of a Weibull shape of 0.992 is not smooth at t = 0, just left of the
-    # first panel of the integral from t = 0.0015673: there the Gauss-10
-    # value agrees with the Gauss-21 one by coincidence, and without the
+    # first panel of the integral from t = 0.0015673: there a 10-point Gauss
+    # estimate agrees with the Gauss-21 value by coincidence, and without the
     # Gauss-Lobatto check that panel settles 3.6e-8 off (3.6 tolerances)
     marginals = (Weibull(1.685464838777997, 0.992065619484427),
                  Weibull(1.0280783376462523, 1.7438697554940399))
@@ -429,8 +429,7 @@ def test_a_failed_piece_fails_every_mrl_that_contains_it(monkeypatch):
 def mp_sf(system, t):
     """System sf at an mpmath time, from the marginals and the copula kernel
     at mpmath precision."""
-    sf = [mpmath.exp(-m.lam * t) if isinstance(m, Exponential)
-          else mpmath.exp(-(m.lam * t) ** m.k) for m in system.marginals]
+    sf = [mpmath.exp(-(m.lam * t) ** m.k) for m in system.marginals]
     if system.structure == "series":
         return system.copula._raw(*(np.array([x], dtype=object) for x in sf))[0]
     return 1 - system.copula._raw(*(np.array([1 - x], dtype=object) for x in sf))[0]
@@ -443,8 +442,7 @@ def mp_kink_gaps(system, t) -> list:
     linear Spearman with theta >= 0 and u_1 = 1 - u_2 with theta < 0; u holds
     the sf values of a series system and the cdf values of a parallel one.
     Each is compared on a scale that keeps its digits far out."""
-    z = [m.lam * t if isinstance(m, Exponential) else (m.lam * t) ** m.k
-         for m in system.marginals]  # -ln sf
+    z = [(m.lam * t) ** m.k for m in system.marginals]  # -ln sf
     series = system.structure == "series"
     cop = system.copula
     if isinstance(cop, LinearSpearman):
@@ -474,8 +472,7 @@ def mp_kinks(system, hi: float) -> list:
 def kink_gaps(system, t: np.ndarray) -> np.ndarray:
     """``mp_kink_gaps`` in floats, a row per pair at an array of times; NaN
     where a side underflows."""
-    z = np.array([m.lam * t if isinstance(m, Exponential) else (m.lam * t) ** m.k
-                  for m in system.marginals])
+    z = np.array([(m.lam * t) ** m.k for m in system.marginals])
     series = system.structure == "series"
     cop = system.copula
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -576,11 +573,10 @@ KINKED_REFERENCE_CASES = [
       for cop, structure in KINKED_REFERENCE_CASES)])
 def test_grid_mrl_matches_an_mpmath_reference(copula, structure):
     # a reference that shares only the copula kernel with the grid path:
-    # tanh-sinh quadrature of sf over (t, end) at 17 digits, one t at a time,
-    # with breakpoints at the kink times it finds itself.  Past the last grid
-    # point sf is below 1e-20; in the kernel's float parameters the corrected
-    # Fischer-Hinzmann C(1, 1) misses 1 by an ulp, so sf levels off at 1e-16
-    # there instead of vanishing, which an integral to infinity would sum.
+    # tanh-sinh quadrature of sf over (t, inf) at 17 digits, one t at a time,
+    # with breakpoints at the kink times it finds itself and the last grid
+    # point.  It sums any level sf keeps far out: the corrected
+    # Fischer-Hinzmann C(1, 1) must be 1, not 1 - 1e-16.
     marginals = (Exponential(1.3), Weibull(0.7, 1.8), Weibull(1.1, 0.8))[:copula.dim]
     system = System(marginals, structure, "dependent", copula)
     curve = system.curve(wide_grid(marginals, points=6))
@@ -595,7 +591,8 @@ def test_grid_mrl_matches_an_mpmath_reference(copula, structure):
             if sf < 1e-9:
                 continue
             x = mpmath.mpf(float(t))
-            points = sorted({x, min(x + 4.0, end), *(k for k in kinks if k > x), end})
+            points = [*sorted({x, min(x + 4.0, end), *(k for k in kinks if k > x), end}),
+                      mpmath.inf]
             tail = mpmath.quad(lambda u: mp_sf(system, u), points)
             assert mrl == pytest.approx(float(tail / mp_sf(system, x)), rel=1e-9, abs=0.0)
             checked += 1
