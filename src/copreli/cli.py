@@ -187,17 +187,13 @@ def _provenance(config: RunConfig) -> dict:
 
 @dataclass(frozen=True)
 class _Result:
-    """A result the CLI builds itself: ``text(provenance)`` for csv and md,
-    ``record`` led by the provenance for json."""
+    """A result the CLI builds itself: ``to_csv`` and ``to_markdown`` take the
+    provenance to text, and ``record`` led by the provenance is the json."""
 
-    text: Callable[[dict], str]
+    to_csv: Callable[[dict], str]
+    to_markdown: Callable[[dict], str]
     record: dict
     indent: int | None = 2
-
-    def to_csv(self, provenance: dict) -> str:
-        return self.text(provenance)
-
-    to_markdown = to_csv
 
     def to_json(self, provenance: dict) -> str:
         return tables.to_json(self.record, provenance, provenance_first=True,
@@ -261,9 +257,9 @@ def _cmd_ordering(config: RunConfig):
         record["increase_witness"] = mono.increase_witness
     if mono.decrease_witness:
         record["decrease_witness"] = mono.decrease_witness
-    text = (f"{verdict.describe()}\n"
-            f"ratio: {mono.classification} (certified on {mono.grid.size} grid points)\n")
-    return _Result(partial(tables.to_text, text), record), EXIT_OK
+    text = partial(tables.to_text, f"{verdict.describe()}\n"
+                   f"ratio: {mono.classification} (certified on {mono.grid.size} grid points)\n")
+    return _Result(text, text, record), EXIT_OK
 
 
 def _cmd_table1(config: RunConfig):
@@ -298,8 +294,8 @@ def _cmd_verify(config: RunConfig):
     lines = [f"{'PASS' if c['passed'] else 'FAIL'}  {c['check']}: {c['detail']}"
              for c in checks]
     lines.append("all checks passed" if all_passed else "verification FAILED")
-    return (_Result(partial(tables.to_text, "\n".join(lines) + "\n"),
-                    {"passed": all_passed, "checks": checks}),
+    text = partial(tables.to_text, "\n".join(lines) + "\n")
+    return (_Result(text, text, {"passed": all_passed, "checks": checks}),
             EXIT_OK if all_passed else EXIT_VERIFICATION)
 
 
@@ -312,8 +308,8 @@ def _cmd_sample(config: RunConfig):
     batch = sample_bivariate(copula, marginals, n_samples=config.samples,
                              seed=config.seed, role=config.role)
     pairs = {"t1": batch.t1, "t2": batch.t2}
-    write = tables.to_markdown if config.format == "md" else tables.to_csv
-    return _Result(partial(write, pairs.keys(), pairs.values()), pairs, indent=None), EXIT_OK
+    csv, md = (partial(w, pairs.keys(), pairs.values()) for w in (tables.to_csv, tables.to_markdown))
+    return _Result(csv, md, pairs, indent=None), EXIT_OK
 
 
 # a subcommand's docstring is its line in ``copreli --help``

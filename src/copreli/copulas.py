@@ -443,10 +443,14 @@ class FischerHinzmann(Copula):
         least = functools.reduce(np.minimum, u)
         prod_u = _prod(u)
         if self.corrected:
-            # least (1 - (1 - alpha)(1 - r^m))^(1/m) with r = prod/least in [0, 1]:
-            # C(1, ..., 1) is 1 exactly, and an r^m that underflows leaves alpha^(1/m) least
-            r = prod_u / np.where(least > 0, least, 1.0)
-            return least * (1.0 - (1.0 - self.alpha) * (1.0 - r ** self.m)) ** (1.0 / self.m)
+            # least (a + (1 - a) r^m)^(1/m), r = prod/least in [0, 1], with the larger of a and
+            # r^m factored out leaves a sum in [1, 2]; at u = (1, ..., 1) it is fl(1 - a) + a = 1
+            a, r = self.alpha, prod_u / np.where(least > 0, least, 1.0)
+            rm = r ** self.m
+            root = np.where(rm >= a, r, a ** (1.0 / self.m))
+            rest = np.where(rm >= a, 1.0 - a + a / np.maximum(rm, a or 1.0),
+                            1.0 + (1.0 - a) * np.minimum(rm, a) / (a or 1.0))
+            return least * root * rest ** (1.0 / self.m)
         # factor out the dominant term before taking m-th powers so large m
         # cannot underflow the sum
         x = self.alpha * least

@@ -245,6 +245,20 @@ def test_corrected_fischer_hinzmann_is_one_where_every_coordinate_is(m, alpha, d
     assert system.sf(t) == 0.0
 
 
+@given(m=st.floats(1.0, 4.0), alpha=st.sampled_from([0.0, 1e-12, 1e-8, 0.5]),
+       exponents=st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3), dim=st.integers(2, 3))
+@settings(max_examples=300, deadline=None)
+def test_corrected_fischer_hinzmann_keeps_its_digits_near_the_origin(m, alpha, exponents, dim):
+    # small alpha and u down to 1e-100, where r^m leaves the float range for m > 3
+    u = [10.0 ** -e for e in exponents[:dim]]
+    with mpmath.workdps(40):
+        v = [mpmath.mpf(x) for x in u]
+        least = min(v)
+        exact = least * (alpha + (1 - mpmath.mpf(alpha)) * (mpmath.fprod(v) / least) ** m) ** (1 / mpmath.mpf(m))
+        value = FischerHinzmann(m=m, alpha=alpha, dim=dim, corrected=True).value(np.array(u))
+        assert abs(value - exact) <= 1e-14 * exact
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coordinatewise_monotone(dim):
     rng = np.random.default_rng(74)
