@@ -168,21 +168,20 @@ def parse_config_text(text: str, command: str) -> dict:
 
 
 def _provenance(config: RunConfig) -> dict:
-    prov = {"tool": "copreli", "version": __version__, "command": config.command}
-    if config.copula:
-        prov["copula"] = config.copula
-    if config.marginal:
-        prov["marginals"] = ",".join(config.marginal)
-    prov["structure"] = config.structure
-    prov["mode"] = config.resolved_mode()
-    grid_lo = "auto" if config.grid_min is None else repr(config.grid_min)
-    grid_hi = "auto" if config.grid_max is None else repr(config.grid_max)
-    prov["grid"] = f"{grid_lo}:{grid_hi}:{config.grid_count}:{config.grid_spacing}"
-    prov["seed"] = config.seed
-    if config.command == "sample":
-        prov["samples"] = config.samples
-        prov["role"] = config.role
-    return prov
+    """The tool and subcommand, then each option the subcommand reads (as
+    ``_add_options`` scopes them) and holds a value for, under its header key."""
+    lo, hi = ("auto" if x is None else repr(x) for x in (config.grid_min, config.grid_max))
+    header = {"copula": ("copula", config.copula),
+              "marginal": ("marginals", ",".join(config.marginal)),
+              "structure": ("structure", config.structure),
+              "mode": ("mode", config.resolved_mode()),
+              "grid_min": ("grid", f"{lo}:{hi}:{config.grid_count}:{config.grid_spacing}"),
+              "seed": ("seed", config.seed), "samples": ("samples", config.samples),
+              "role": ("role", config.role)}
+    read = [header[f.name] for f in _OPTIONS
+            if f.name in header and config.command in f.metadata["commands"]]
+    return {"tool": "copreli", "version": __version__, "command": config.command,
+            **{key: value for key, value in read if value not in (None, "")}}
 
 
 @dataclass(frozen=True)

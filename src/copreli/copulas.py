@@ -53,7 +53,7 @@ __all__ = [
 
 MAX_POINCARE_DIM = 20
 _TINY = np.finfo(float).tiny
-# the product of the rows; math.prod is several times slower on a complex first row
+# the product of the rows; math.prod would start with 1 * u1, a whole pass on a Dual row
 _prod = functools.partial(functools.reduce, operator.mul)
 
 
@@ -148,12 +148,11 @@ class Copula:
 
     def _raw(self, *u) -> np.ndarray:
         """C at checked points, one row per coordinate: arrays or numbers that
-        broadcast together, the first maybe complex and the others real.  C
-        must stay complex-analytic in u1 away from kinks (numpy expressions
-        and ``_prod``, branching through numpy comparisons, ``minimum``/
-        ``maximum`` or ``where``; no ``abs``, ``float()`` or other ``math``),
-        because ``montecarlo.conditional_cdf`` takes a complex step through
-        it; where it switches branch is ``_kink``."""
+        broadcast together, the first maybe a ``numerics.Dual`` and the others
+        real.  It uses numpy ufuncs in ``Dual``'s rule table, ``_prod`` and
+        ``np.where``; no ``abs``, ``float()`` or ``math``, because
+        ``montecarlo.conditional_cdf`` differentiates through it.  Where it
+        switches branch is ``_kink``."""
         raise NotImplementedError
 
     def _kink(self) -> tuple[tuple[float, ...], tuple[bool, ...]] | None:

@@ -86,7 +86,10 @@ class Weibull:
         return scalar_or_array((-np.log1p(-pp)) ** (1.0 / self.k) / self.lam)
 
     def mean(self) -> float:
-        return math.gamma(1.0 + 1.0 / self.k) / self.lam
+        try:
+            return math.gamma(1.0 + 1.0 / self.k) / self.lam
+        except OverflowError:  # gamma past the float range, k below about 0.0058
+            return math.inf
 
     def spec_string(self) -> str:
         return f"weibull:{self.lam!r},{self.k!r}"

@@ -3,8 +3,8 @@
 Bivariate copula samples come from the conditional (Rosenblatt) method: draw
 v1 uniform and p uniform, then solve h(v1, v2) = p for v2, where
 h = dC/du1 is the conditional distribution of V2 given V1 = v1.  h is taken
-from the copula kernel alone by a complex step (``numerics.complex_step``),
-with no family formula for h or its inverse, so the sampler stays
+from the copula kernel alone, exact to rounding, by a ``numerics.Dual`` u1
+row, with no family formula for h or its inverse, so the sampler stays
 independent of the quantities it is used to validate.  The solve is a
 vectorised Illinois (modified regula falsi) iteration on the bracket [0, 1]
 (Dowell & Jarratt 1971), first split where the kernel switches branch
@@ -33,7 +33,7 @@ import numpy as np
 from .copulas import Copula
 from .exceptions import DomainError, SamplingError, SingularityError
 from .marginals import Marginal
-from .numerics import DEFINED, REASONS, adaptive_step, complex_step, richardson_pair
+from .numerics import DEFINED, REASONS, Dual, adaptive_step, richardson_pair
 from .systems import System
 
 __all__ = [
@@ -50,6 +50,9 @@ _V2_TOL = 4e-15  # a point is settled once its bracket is this narrow ...
 _H_TOL = 2e-16  # ... or, in an Illinois round, its residual h(v1, v2) - p this small
 _ILLINOIS_ROUNDS = 16  # then bisection; 12 leave smooth points to it, more gain nothing
 _SPLIT = _V2_TOL / 4  # h is read this far either side of a branch switch
+# the seed du1, a power of two so h is exact, small so no derivative row overflows
+# (AMH's reach 1e326 at v1 = 1e-9, u2 = 1e-300 with du1 = 1)
+_DU1 = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ class SampleBatch:
 
 
 def conditional_cdf(copula: Copula, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """h(v1, v2) = dC/du1 at (v1, v2), by a complex step through the kernel."""
-    return complex_step(lambda x: copula._raw(x, v2), v1)
+    """h(v1, v2) = dC/du1 at (v1, v2), by a dual u1 row through the kernel."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # in derivatives where() drops
+        return copula._raw(Dual(v1, _DU1), v2).dx / _DU1
 
 
 def _settle(v2, done, value, idx, *state):

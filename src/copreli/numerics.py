@@ -1,4 +1,4 @@
-"""Shared derivative helpers: finite differences and the complex step.
+"""Shared derivative helpers: finite differences and dual numbers.
 
 All hazard-type quantities in this package are log-derivatives of smooth,
 strictly positive functions, so a central stencil with a step proportional
@@ -10,8 +10,6 @@ point carries a reason code, an index into ``REASONS`` (0 where it is
 defined); the message is looked up only where a point is flagged or raised.
 ``scalar_or_array`` is the package's one rule for results: one with no axes
 is returned as a python float.
-``complex_step`` takes exact first derivatives of functions that accept
-complex arguments (the copula kernels).
 """
 
 from __future__ import annotations
@@ -33,11 +31,10 @@ __all__ = [
     "central_log_derivative",
     "central_derivative",
     "richardson_pair",
-    "complex_step",
+    "Dual",
 ]
 
 _TINY = 1e-12
-_COMPLEX_STEP = 1e-30
 
 # why a value is undefined, indexed by its reason code
 REASONS = ("",
@@ -149,13 +146,68 @@ def richardson_pair(coarse, fine, order: int = 2, ratio: float = 2.0):
     return (factor * fine - coarse) / (factor - 1.0)
 
 
-def complex_step(f: Callable, x: np.ndarray) -> np.ndarray:
-    """df/dx at real ``x`` as Im f(x + i eps) / eps, with eps = 1e-30.
-
-    ``f`` must accept complex arguments.  No difference of two values is
-    taken, so nothing cancels and the result is exact to rounding wherever f
-    is analytic (Squire & Trapp 1998).  At a kink, numpy orders complex
-    numbers by real part and then by imaginary part, so f takes one branch
-    and the result is that branch's one-sided derivative.
+class Dual(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value row ``x`` and its derivative row ``dx`` for forward-mode
+    differentiation (Griewank & Walther 2008, ch. 3): the complex step's exact
+    first derivative in real arithmetic.  The ufuncs in ``_RULES`` (operators
+    too) and ``np.where`` act on both rows; a comparison, ``minimum`` or
+    ``maximum`` breaks an exact tie of values by the derivative, as numpy
+    orders complex numbers, so a kink gives the complex step's one-sided
+    derivative.  Another ufunc, a dual exponent, ``abs`` or ``float()`` raises.
     """
-    return f(x + 1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
+
+    def __init__(self, x, dx):
+        self.x, self.dx = x, dx
+
+    shape = property(lambda self: np.shape(self.x))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _RULES.get(ufunc) if method == "__call__" and not kwargs else None
+        return NotImplemented if rule is None else rule(*(p for a in inputs for p in _parts(a)))
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.where or len(args) != 3 or kwargs:
+            return NotImplemented
+        (x, dx), (y, dy) = _parts(args[1], 0.0), _parts(args[2], 0.0)
+        return Dual(np.where(args[0], x, y), np.where(args[0], dx, dy))
+
+
+def _parts(a, zero=None):
+    """(value, derivative); None, a plain operand's, is a zero that makes no pass and no inf * 0."""
+    return (a.x, a.dx) if isinstance(a, Dual) else (a, zero)
+
+
+def _plus(dx, dy, y=1.0):  # dx + y dy, either derivative None
+    return dx if dy is None else dy * y if dx is None else dx + dy * y
+
+
+def _ordered(op, value=None):
+    """``op`` on the values, on the derivatives where they tie; with ``value``,
+    the Dual of value(x, y) and the derivative that ``op`` picks."""
+    def rule(x, dx, y, dy):
+        dx, dy = (0.0 if d is None else d for d in (dx, dy))
+        first = np.where(x == y, op(dx, dy), op(x, y))
+        return first if value is None else Dual(value(x, y), np.where(first, dx, dy))
+    return rule
+
+
+_RULES = {
+    np.add: lambda x, dx, y, dy: Dual(x + y, _plus(dx, dy)),
+    np.subtract: lambda x, dx, y, dy: Dual(x - y, _plus(dx, dy, -1.0)),
+    np.multiply: lambda x, dx, y, dy: Dual(x * y, _plus(None if dx is None else dx * y, dy, x)),
+    # (dx - q dy) / y, with no 0/0 where y^2 underflows
+    np.true_divide: lambda x, dx, y, dy: (lambda q: Dual(q, _plus(dx, dy, -q) / y))(x / y),
+    np.power: lambda x, dx, y, dy: NotImplemented if dy is not None else Dual(
+        x**y, y * x ** (y - 1.0) * dx),
+    np.negative: lambda x, dx: Dual(-x, -dx),
+    np.log: lambda x, dx: Dual(np.log(x), dx / x),
+    np.log1p: lambda x, dx: Dual(np.log1p(x), dx / (1.0 + x)),
+    np.exp: lambda x, dx: (lambda y: Dual(y, y * dx))(np.exp(x)),
+    np.expm1: lambda x, dx: Dual(np.expm1(x), np.exp(x) * dx),
+    np.isfinite: lambda x, dx: np.isfinite(x),
+    np.isnan: lambda x, dx: np.isnan(x),
+    np.minimum: _ordered(np.less_equal, np.minimum),
+    np.maximum: _ordered(np.greater_equal, np.maximum),
+    **{op: _ordered(op) for op in (np.less, np.less_equal, np.greater, np.greater_equal,
+                                   np.equal, np.not_equal)},
+}

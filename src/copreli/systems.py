@@ -267,6 +267,9 @@ class System:
         live = np.flatnonzero(~(sft <= _SF_FLOOR))
         start, sft = t[live], sft[live]
         scale = max(m.mean() for m in self.marginals)
+        if not np.isfinite(scale):  # a component mean past the float range
+            return np.full(t.shape, np.nan), [e or IntegrationError(
+                f"truncation scale {scale} is not finite; refusing to truncate") for e in errors]
         cap = start + 50.0 * scale
         uppers = [start + scale]
         # far out, t + s == t: a t whose candidates stall there is refused below

@@ -108,6 +108,21 @@ def random_marginals(rng: np.random.Generator, dim: int):
                  for _ in range(dim))
 
 
+def complex_step(f, x, dtype=complex):
+    """df/dx at real ``x`` as Im f(x + i eps) / eps, eps = 1e-30, with x and the
+    step in ``dtype``: the test oracle for the sampler's dual-number h.
+
+    No difference of two values is taken, so nothing cancels and the result is
+    exact to rounding wherever f is analytic (Squire & Trapp 1998).  At a kink,
+    numpy orders complex numbers by real part and then by imaginary part, so f
+    takes one branch and the result is that branch's one-sided derivative.
+    Below about 1e-280 the imaginary part underflows in ``complex``; with
+    ``np.clongdouble`` (an 80-bit long double on x86) it does not.
+    """
+    eps = np.real(dtype(1e-30))
+    return f(np.asarray(x).astype(dtype) + dtype(1e-30j)).imag / eps
+
+
 def wide_grid(marginals, points: int = 15) -> np.ndarray:
     """t = 0, then log-spaced out past every marginal's 1 - 1e-9 quantile, so
     support-edge singularities show at both ends."""

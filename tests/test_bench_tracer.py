@@ -63,3 +63,13 @@ def test_cli_output_goes_through_the_traced_report_methods(tracer, argv):
     recorded = [tracer.names[i] for i in tracer.name]
     assert recorded.count("cli.main") == 1
     assert recorded.count("cli.format") == 1
+
+
+def test_the_sampler_runs_under_the_tracer(tracer):
+    # the tracer sizes a copulas.raw span by the first row's .shape, and the
+    # sampler passes that row as a numerics.Dual
+    argv = ["sample", "--copula", "clayton:alpha=2", "--marginal", "exp:1", "--marginal", "exp:1",
+            "--samples", "200"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert copreli.cli.main(argv) == 0
+    assert [tracer.names[i] for i in tracer.name].count("copulas.raw") >= 1

@@ -84,6 +84,32 @@ def test_eval_rejects_empty_grid(capsys):
     assert "empty grid" in err
 
 
+@pytest.mark.parametrize("argv,keys", [
+    (["sample", "--copula", "fgm:alpha=0.5", *TWO_EXP, "--samples", "5"],
+     ["copula", "marginals", "seed", "samples", "role"]),
+    (["table1"], []),
+    (["verify", "--copula", "fgm:alpha=0.5", *TWO_EXP], ["copula", "marginals"]),
+    (["ordering", "--copula", "amh:alpha=-0.5", *TWO_EXP], ["copula", "marginals", "structure"]),
+    (["eval", "--marginal", "exp:1", "--grid-count", "2"],
+     ["marginals", "structure", "mode", "grid"]),
+    (["error-table", "--copula", "fgm:alpha=0.5", *TWO_EXP, "--grid-count", "2"],
+     ["copula", "marginals", "structure", "grid"]),
+])
+def test_the_provenance_header_names_only_options_the_subcommand_reads(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    header = [line[2:].split("=")[0] for line in out.splitlines() if line.startswith("# ")]
+    assert header == ["tool", "version", "command", *keys]
+
+
+def test_a_component_mean_past_the_float_range_is_a_numerical_error(capsys):
+    code, _, err = run(capsys, "error-table", "--copula", "fgm:alpha=0.5", "--marginal",
+                       "weibull:1,0.005", "--marginal", "exp:1", "--grid-min", "0.5",
+                       "--grid-max", "1", "--grid-count", "2", "--measure", "mrl")
+    assert code == EXIT_NUMERICAL
+    assert "truncation scale inf is not finite" in err
+
+
 def test_eval_json_is_machine_parseable(capsys):
     code, out, _ = run(
         capsys, "eval", "--copula", "fgm:alpha=0.5", "--marginal", "exp:1",

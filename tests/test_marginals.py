@@ -142,6 +142,14 @@ def test_domain_errors():
         Exponential(1.0).reversed_hazard(0.0)
 
 
+def test_a_mean_past_the_float_range_is_inf():
+    # gamma(1 + 1/k) overflows a float below k of about 0.0058
+    assert Weibull(2.0, 0.5).mean() == 1.0
+    assert Weibull(1.0, 0.006).mean() < math.inf
+    assert Weibull(1.0, 0.005).mean() == math.inf
+    assert Weibull(1e-300, 1e-3).mean() == math.inf
+
+
 @pytest.mark.parametrize("build,message", [
     (lambda: Exponential("1"), "exponential rate must be positive, got '1'"),
     (lambda: Exponential(1 + 0j), "exponential rate must be positive, got (1+0j)"),

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import KINKED_FAMILIES, families_for_dim, random_instance
+from conftest import KINKED_FAMILIES, complex_step, families_for_dim, random_instance
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from copreli import (
 )
 from copreli import montecarlo
 from copreli.montecarlo import _conditional_inverse, conditional_cdf
-from copreli.numerics import complex_step, richardson_pair
+from copreli.numerics import Dual, richardson_pair
 
 E1 = Exponential(1.0)
 MARGINALS = (E1, E1)
@@ -188,7 +188,7 @@ def test_sampler_covers_every_proper_family():
 
 
 # ---------------------------------------------------------------------------
-# the conditional sampler: complex-step h-function and its inverse
+# the conditional sampler: dual-number h-function and its inverse
 # ---------------------------------------------------------------------------
 
 SMOOTH_FAMILIES = [f for f in families_for_dim(2) if f not in KINKED_FAMILIES]
@@ -208,7 +208,7 @@ def kink_distance(cop, v1: float, v2: float) -> float:
 @given(family=st.sampled_from(families_for_dim(2)), seed=st.integers(0, 2**32 - 1),
        v1=st.floats(0.05, 0.95), v2=st.floats(0.05, 0.95))
 @settings(max_examples=200, deadline=None)
-def test_complex_step_h_matches_a_central_difference(family, seed, v1, v2):
+def test_dual_h_matches_a_central_difference(family, seed, v1, v2):
     cop = random_instance(family, np.random.default_rng(seed))
     assume(kink_distance(cop, v1, v2) >= 1e-3)
 
@@ -224,7 +224,7 @@ def test_complex_step_h_matches_a_central_difference(family, seed, v1, v2):
 @given(family=st.sampled_from(families_for_dim(2)), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_h_from_a_real_u2_row_matches_an_all_complex_one(family, seed):
-    # the sampler keeps u2 real, so only u1's row runs in complex arithmetic
+    # the sampler keeps u2 real, so only u1's row carries a derivative
     rng = np.random.default_rng(seed)
     cop = random_instance(family, rng)
     v1 = rng.uniform(1e-9, 1.0 - 1e-9, size=32)
@@ -233,6 +233,68 @@ def test_h_from_a_real_u2_row_matches_an_all_complex_one(family, seed):
     complex_u2 = complex_step(lambda x: cop._raw(x, v2 + 0j), v1)
     np.testing.assert_array_equal(np.isnan(h), np.isnan(complex_u2))
     np.testing.assert_allclose(h, complex_u2, rtol=0.0, atol=2e-15)
+
+
+def dual_and_oracle(cop, v1, v2):
+    """h from a dual u1 row, and the complex step's h; where that underflows
+    (|h| < 1e-280, the imaginary part of Im C(v1 + i 1e-30, v2) below the
+    smallest float), the exact h instead, from the same step in long double."""
+    h = conditional_cdf(cop, v1, v2)
+    with np.errstate(all="ignore"):
+        oracle = complex_step(lambda x: cop._raw(x, v2), v1)
+        tiny = np.abs(oracle) < 1e-280
+        if tiny.any():
+            exact = complex_step(lambda x: cop._raw(x, v2[tiny]), v1[tiny], np.clongdouble)
+            oracle[tiny] = exact.astype(float)
+    return h, oracle
+
+
+@pytest.mark.parametrize("family", families_for_dim(2))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=4, deadline=None)
+def test_dual_h_matches_the_complex_step(family, seed):
+    # v1 uniform or log-uniform down to 1e-9; u2 at random, at 1e-300, 0.5,
+    # 1 - 1e-16 and 1, and for a kinked family exactly where its kernel
+    # switches branch: there the tie is broken by the derivative on both
+    # sides, so both take the same branch
+    rng = np.random.default_rng(seed)
+    cop = random_instance(family, rng)
+    v1 = np.where(rng.random(1280) < 0.5, rng.uniform(1e-9, 1.0 - 1e-9, 1280),
+                  10.0 ** rng.uniform(-9.0, -1e-9, 1280))
+    v2 = np.concatenate([rng.random(256), np.repeat([1e-300, 0.5, 1.0 - 1e-16, 1.0], 256)])
+    switch = cop._switch_v2(v1[:256])
+    if switch is not None:
+        v2[:256] = switch
+    h, oracle = dual_and_oracle(cop, v1, v2)
+    np.testing.assert_array_equal(np.isnan(h), np.isnan(oracle))
+    if family == "marshall_olkin":
+        # the kernel compares v1^a1 with v2^a2, and a complex power can round
+        # apart from the real one, putting the complex step on the other side
+        # of the switch; compare the switch points where it rounds alike
+        a1 = cop.alpha[0]
+        alike = np.ones(v1.size, dtype=bool)
+        alike[:256] = ((v1[:256] + 1e-30j) ** a1).real == v1[:256] ** a1
+        h, oracle = h[alike], oracle[alike]
+    tol = 1e-13 * np.maximum(np.abs(oracle), 1e-6)
+    assert np.all((np.abs(h - oracle) <= tol) | np.isnan(oracle))
+
+
+def test_a_ufunc_outside_the_rules_raises():
+    # abs, a dual exponent or a ufunc without a rule would drop the derivative
+    d = Dual(np.array([0.25, 0.5]), 1.0)
+    for bad in (abs, np.sqrt, np.sin, lambda x: 2.0**x, lambda x: x**x, float,
+                lambda x: np.add.reduce(x)):
+        with pytest.raises(TypeError):
+            bad(d)
+    assert d.shape == (2,)
+
+
+def test_a_tie_is_broken_by_the_derivative_as_complex_numbers_are():
+    up, flat = Dual(np.array([0.5]), 1.0), np.array([0.5])
+    for op in (np.minimum, np.maximum):
+        assert op(up, flat).dx == op(0.5 + 1e-30j, 0.5 + 0j).imag / 1e-30
+    for op in (np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal):
+        assert op(up, flat)[0] == op(0.5 + 1e-30j, 0.5 + 0j)
 
 
 def clayton_h(alpha, v1, v2):
@@ -335,7 +397,7 @@ def test_a_nan_met_only_while_bisecting_raises_sampling_error(monkeypatch):
     # only within 1e-9 of it, where the bracket split reads h
     raw = LinearSpearman._raw
     monkeypatch.setattr(LinearSpearman, "_raw", lambda self, u1, u2: np.where(
-        np.abs((u1 - u2).real) < 1e-9, np.nan * u1, raw(self, u1, u2)))
+        np.abs((u1 - u2).x) < 1e-9, np.nan * u1, raw(self, u1, u2)))
     with pytest.raises(SamplingError):
         _conditional_inverse(LinearSpearman(theta=0.5), np.array([0.3]), np.array([0.4]))
 
@@ -352,14 +414,15 @@ def test_a_nan_met_only_in_the_bisection_loop_raises_sampling_error(monkeypatch)
 
 
 def kernel_points_per_sample(family, monkeypatch, n=4096):
-    """Points the sampler passes to the kernel per sample, for four instances."""
+    """Points the sampler passes to the kernel per sample, for four instances;
+    a dual u1 row counts by its value row."""
     rng = np.random.default_rng(8080)
     for k in range(4):
         cop = random_instance(family, rng)
         counted = []
         raw = type(cop)._raw
         monkeypatch.setattr(type(cop), "_raw",
-                            lambda self, *u: counted.append(np.size(u[0])) or raw(self, *u))
+                            lambda self, *u: counted.append(np.size(u[0].x)) or raw(self, *u))
         sample_bivariate(cop, MARGINALS, n, seed=k)
         monkeypatch.undo()
         yield str(cop), sum(counted) / n
