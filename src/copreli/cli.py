@@ -176,8 +176,8 @@ def _provenance(config: RunConfig) -> dict:
               "structure": ("structure", config.structure),
               "mode": ("mode", config.resolved_mode()),
               "grid_min": ("grid", f"{lo}:{hi}:{config.grid_count}:{config.grid_spacing}"),
-              "seed": ("seed", config.seed), "samples": ("samples", config.samples),
-              "role": ("role", config.role)}
+              "measure": ("measure", config.measure), "seed": ("seed", config.seed),
+              "samples": ("samples", config.samples), "role": ("role", config.role)}
     read = [header[f.name] for f in _OPTIONS
             if f.name in header and config.command in f.metadata["commands"]]
     return {"tool": "copreli", "version": __version__, "command": config.command,

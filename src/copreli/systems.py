@@ -38,24 +38,22 @@ _SF_FLOOR = 1e-12
 _VANISHED = (DEFINED, SF_VANISHED, SF_VANISHED, DEFINED, CDF_VANISHED, CDF_VANISHED)
 
 
-def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Lobatto rule on [-1, 1]."""
-    p = np.polynomial.legendre.Legendre.basis(n - 1)
-    x = np.concatenate([[-1.0], p.deriv().roots(), [1.0]])
-    return x, 2.0 / (n * (n - 1) * p(x) ** 2)
-
-
-# Mean residual life quadrature: each panel keeps its 21-point Gauss-Legendre
-# value, and the 12-point Gauss-Lobatto rule estimates its error.  No Gauss
-# node comes near a panel's ends, so the pieces are split at the copula's kink
-# times first (``System._kinks``), as QUADPACK's qagp takes breakpoints.  The
-# Lobatto rule samples the ends: a panel can still be smooth but nearly
-# singular at one, as sf is near t = 0 for a Weibull shape that is not an
-# integer, where a Gauss rule can agree with the 21-point value by coincidence
-# (tests/test_systems.py, the Lobatto test: 3.6e-8 relative).
-_GAUSS21 = np.polynomial.legendre.leggauss(21)
-_LOBATTO12 = _lobatto(12)
-_NODES = np.concatenate([_GAUSS21[0], _LOBATTO12[0]])
+# Mean residual life quadrature: QUADPACK's qk21 (Piessens, de Doncker-Kapenga, Ueberhuber &
+# Kahaner 1983, after Kronrod 1965), the 21-point Gauss-Kronrod rule on [-1, 1], as the doubles
+# nearest its xgk, wgk and wg from 1 down to 0.  A panel takes its Kronrod value, and its error
+# is the distance to the 10-point Gauss rule on the odd-indexed nodes.  No node touches a
+# panel's ends, so the pieces are split at the copula's kink times first (``System._kinks``),
+# as QUADPACK's qagp takes breakpoints.
+_XK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                0.2943928627014602, 0.14887433898163122, 0.0])
+_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
+                0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                0.26926671930999635, 0.29552422471475287])
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])  # ascending, the Gauss nodes at odd indices
+_KRONROD21, _GAUSS10 = np.concatenate([_WK[:-1], _WK[::-1]]), np.concatenate([_WG, _WG[::-1]])
 _START_PANELS = 4
 _MAX_PANELS = 200
 _RTOL = 1e-8
@@ -69,8 +67,8 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     array, and the mask of those that failed (NaN).
 
     Adaptive bisection: each round evaluates every open panel of every integral
-    in one call of ``f``.  A panel is settled once its Lobatto value agrees
-    with its 21-point value to within its share, by width, of
+    in one call of ``f``.  A panel is settled once its Gauss-10 value agrees
+    with its Kronrod-21 value to within its share, by width, of
     max(_ATOL, _RTOL * |integral|); the others are halved.  An integral fails
     when its partition would exceed _MAX_PANELS panels.  Each integral's panels
     stay in the order a lone call keeps them and ``np.bincount`` adds them in
@@ -89,8 +87,8 @@ def _integrate(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         x = (lo + half)[:, None] + half[:, None] * _NODES
         values = f(x.ravel()).reshape(x.shape)
         # row sums, not BLAS products, whose rounding depends on the row count
-        best = half * (values[:, :21] * _GAUSS21[1]).sum(axis=1)
-        error = np.abs(best - half * (values[:, 21:] * _LOBATTO12[1]).sum(axis=1))
+        best = half * (values * _KRONROD21).sum(axis=1)
+        error = np.abs(best - half * (values[:, 1::2] * _GAUSS10).sum(axis=1))
         tol = np.maximum(_ATOL, _RTOL * np.abs(settled + np.bincount(owner, best, a.size)))
         done = error <= tol[owner] * (hi - lo) / (b - a)[owner]
         settled += np.bincount(owner[done], best[done], a.size)
@@ -159,17 +157,19 @@ class System:
         return len(self.marginals)
 
     def sides(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """sf and cdf at t, each with a row for this system and one for its
-        independent twin; the copula (or the product) at the marginals' cdf
-        values for a parallel system of several components and at their sf
-        values otherwise, the other side one minus it."""
+        """sf and cdf at t, each with a row for this system and one for its independent
+        twin; the copula (or the product) at the marginals' cdf values for a parallel system
+        of several components and at their sf values otherwise, the other side one minus it.
+        The marginal values lie in [0, 1] and reach the kernel unchecked, as 1-d rows even
+        for a number t: numpy rounds a scalar's ``**`` unlike an array's."""
         parallel = self.n > 1 and self.structure == "parallel"
         rows = np.array([(m.cdf if parallel else m.sf)(t) for m in self.marginals])
         if rows.ndim > 2:
             raise DomainError("t must be a number or a one-dimensional array")
         twin = rows.prod(axis=0)  # a lone component's own value
         dependent = self.mode == "dependent" and self.n > 1
-        joint = np.array([self.copula.value(rows.T) if dependent else twin, twin])
+        joint = np.array([self.copula._raw(*rows.reshape(self.n, -1)).reshape(twin.shape)
+                          if dependent else twin, twin])
         return (1.0 - joint, joint) if parallel else (joint, 1.0 - joint)
 
     def sf(self, t):

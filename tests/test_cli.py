@@ -93,7 +93,7 @@ def test_eval_rejects_empty_grid(capsys):
     (["eval", "--marginal", "exp:1", "--grid-count", "2"],
      ["marginals", "structure", "mode", "grid"]),
     (["error-table", "--copula", "fgm:alpha=0.5", *TWO_EXP, "--grid-count", "2"],
-     ["copula", "marginals", "structure", "grid"]),
+     ["copula", "marginals", "structure", "grid", "measure"]),
 ])
 def test_the_provenance_header_names_only_options_the_subcommand_reads(capsys, argv, keys):
     code, out, _ = run(capsys, *argv)

@@ -21,7 +21,7 @@ import copreli.systems
 from conftest import (FAMILY_CASES, TAIL_KINK_CASES, random_instance, random_marginals,
                       wide_grid)
 from copreli import (
-    Copula,
+    FAMILIES,
     Exponential,
     Fgm,
     LinearSpearman,
@@ -168,6 +168,22 @@ def test_lr_check_matches_system_by_system(theta, seed):
                             ["passed", "ratio", "worst_increase", "worst_at"])
 
 
+@given(**CASES)
+@settings(max_examples=60, deadline=None)
+def test_sides_calls_the_kernel_as_copula_value_does(case, seed, structure):
+    # the kernel takes the marginal rows unchecked, and a number t as
+    # 1-element rows: Copula.value's own path, bit for bit (about one point
+    # in twenty of a family with ``**`` rounds otherwise at a number)
+    copula, marginals = random_case(case, seed)
+    system = System(marginals, structure, "dependent", copula)
+    grid = default_grid(marginals, points=25)
+    for t in (*grid.tolist(), grid[7:8], grid):
+        shared, reference = system.sides(t), system_by_system_sides(system, t)
+        for side, expected in zip(shared, reference):
+            assert side.shape == expected.shape == (2, *np.shape(t))
+            assert bits(side.ravel()) == bits(expected.ravel())
+
+
 def test_a_copula_of_another_dimension_is_refused_as_before():
     pair = SystemPair(copula=Fgm(alpha=0.5, dim=3), marginals=(Exponential(1.0),) * 2,
                       structure="series")
@@ -185,9 +201,9 @@ def test_a_copula_of_another_dimension_is_refused_as_before():
 
 @contextlib.contextmanager
 def counting():
-    """Count ``Copula.value`` calls, marginal sf/cdf calls and
-    ``Stencil.log_derivative`` calls inside the block."""
-    counts = {"value": 0, "marginal": 0, "log_derivative": 0}
+    """Count kernel calls (``_raw`` of every family in ``copulas.FAMILIES``),
+    marginal sf/cdf calls and ``Stencil.log_derivative`` calls inside the block."""
+    counts = {"raw": 0, "marginal": 0, "log_derivative": 0}
 
     def counted(key, original):
         def wrapper(*args, **kwargs):
@@ -196,7 +212,8 @@ def counting():
         return wrapper
 
     with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(Copula, "value", counted("value", Copula.value)))
+        for cls in FAMILIES.values():
+            stack.enter_context(mock.patch.object(cls, "_raw", counted("raw", cls._raw)))
         stack.enter_context(mock.patch.object(
             Stencil, "log_derivative", counted("log_derivative", Stencil.log_derivative)))
         for cls in (Exponential, Weibull):
@@ -219,14 +236,14 @@ def test_a_hazard_type_error_table_evaluates_the_pair_once(copula, marginals, st
     pair = SystemPair(copula=copula, marginals=marginals, structure=structure)
     with counting() as counts:
         pair.error_report(GRID, measure)
-    assert counts == {"value": 1, "marginal": len(marginals), "log_derivative": 1}
+    assert counts == {"raw": 1, "marginal": len(marginals), "log_derivative": 1}
 
 
 @pytest.mark.parametrize("copula,marginals", COUNT_CASES)
 def test_an_audit_evaluates_each_pair_once_per_step(copula, marginals):
     with counting() as counts:
         finite_difference_audit(copula, marginals, GRID)
-    assert counts["value"] <= 4
+    assert counts["raw"] <= 4
     assert counts["marginal"] <= 4 * len(marginals)
     assert counts["log_derivative"] == 4  # two structures, two steps
 
@@ -238,21 +255,21 @@ def test_a_ratio_call_evaluates_each_structure_once(copula, marginals, kind, cal
     fn = ratio_function(copula, marginals, kind)
     with counting() as counts:
         fn(GRID)
-    assert counts == {"value": calls, "marginal": calls * len(marginals), "log_derivative": 0}
+    assert counts == {"raw": calls, "marginal": calls * len(marginals), "log_derivative": 0}
 
 
 @pytest.mark.parametrize("copula,marginals", COUNT_CASES)
 def test_theorem1_evaluates_each_structure_once(copula, marginals):
     with counting() as counts:
         verify_theorem1(copula, marginals, GRID)
-    assert counts == {"value": 2, "marginal": 2 * len(marginals), "log_derivative": 0}
+    assert counts == {"raw": 2, "marginal": 2 * len(marginals), "log_derivative": 0}
 
 
 def test_a_curve_takes_one_log_derivative():
     system = System(COUNT_CASES[0][1], "parallel", "dependent", COUNT_CASES[0][0])
     with counting() as counts:
         system.hazard(GRID)
-    assert counts == {"value": 1, "marginal": 2, "log_derivative": 1}
+    assert counts == {"raw": 1, "marginal": 2, "log_derivative": 1}
     with counting() as counts:
         system.curve(GRID)
     assert counts["log_derivative"] == 1
@@ -263,7 +280,7 @@ def test_the_lr_check_evaluates_the_pair_once_per_side_of_the_stencil():
     with counting() as counts:
         check_lr_linear_spearman(0.5, marginals, GRID)
     # two cdf calls check the marginals' reversed hazards, four give both cdfs at t -+ h
-    assert counts == {"value": 2, "marginal": 2 + 4, "log_derivative": 0}
+    assert counts == {"raw": 2, "marginal": 2 + 4, "log_derivative": 0}
 
 
 def integrate_rounds(fn) -> list[int]:

@@ -224,18 +224,18 @@ def test_mrl_across_the_linear_spearman_kink():
         return out
 
     # from t = 0.2 and 0.45 a bisection edge lands 4e-5 short of t*, and from
-    # t = 0.48 the kink sits before the first Gauss node of the first panel:
-    # a Gauss-only error estimate (and QUADPACK's) misses it by 4e-9 to 1e-5
+    # t = 0.48 the kink sits before the first node of the first panel: without
+    # the kink split the Gauss-Kronrod error estimate misses it by 4e-9 to 1e-5
     for t in (0.0, 0.2, 0.45, 0.48, 0.49, 1.5):
         assert s.sf(t) == pytest.approx(sf(t), rel=1e-12)
         assert s.mrl(t) == pytest.approx(tail(t) / sf(t), rel=1e-9)
 
 
-def test_the_lobatto_check_catches_a_panel_nearly_singular_at_its_end():
+def test_mrl_of_a_panel_nearly_singular_at_its_end():
     # sf of a Weibull shape of 0.992 is not smooth at t = 0, just left of the
     # first panel of the integral from t = 0.0015673: there a 10-point Gauss
-    # estimate agrees with the Gauss-21 value by coincidence, and without the
-    # Gauss-Lobatto check that panel settles 3.6e-8 off (3.6 tolerances)
+    # estimate can agree with a Gauss-21 value by coincidence, and a panel
+    # settled on that pair is 3.6e-8 off (3.6 tolerances)
     marginals = (Weibull(1.685464838777997, 0.992065619484427),
                  Weibull(1.0280783376462523, 1.7438697554940399))
     system = make("series", "dependent", Amh(alpha=-0.23681177266322262), marginals)
@@ -317,6 +317,16 @@ def test_quadrature_panel_budget():
     assert np.isnan(values[0])
 
 
+def test_the_kronrod_rule_is_exact_to_degree_31_and_holds_gauss_10():
+    nodes, weights = copreli.systems._NODES, copreli.systems._KRONROD21
+    for d in range(32):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs((weights * nodes ** d).sum() - exact) <= 1e-15
+    gauss = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[1::2], gauss[0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(copreli.systems._GAUSS10, gauss[1], rtol=0, atol=1e-15)
+
+
 def _piecewise(x):
     """Smooth below 10, about 1600 periods per unit above: an integral that
     reaches past 10 runs out of panels."""
@@ -383,11 +393,10 @@ def test_array_mrl_matches_a_one_point_loop(case, seed, structure, mode):
         assert getattr(info.value, "t", None) == getattr(first, "t", None)
 
 
-@pytest.mark.xfail(strict=True, reason="a lone mrl(1e-4) settles all four start panels in one "
-                   "round, off by 7.9e-8 relative (CHANGES.md FOUND)")
 def test_array_mrl_matches_a_one_point_loop_for_nelsen_ten_near_the_origin():
-    # Gauss-21 and Lobatto-12 agree by coincidence next to the t^k start, so
-    # System.mrl(1e-4) reads 1.1522256069 against a reference 1.1522256976
+    # next to the t^k start a Gauss-21 value and a Lobatto-12 check agree by
+    # coincidence: a lone mrl(1e-4) settled on that pair reads 1.1522256069
+    # against a reference 1.1522256976
     test_array_mrl_matches_a_one_point_loop.hypothesis.inner_test(
         ("nelsen_ten", 2), 5159704, "parallel", "dependent")
 
